@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
+import functools
 import sys as _sys
 import time
 from pathlib import Path
@@ -138,6 +140,32 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+@functools.lru_cache(maxsize=None)
+def _openblas_threads_api():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*.so*")):
+        handle = ctypes.CDLL(str(lib))
+        get = getattr(handle, "scipy_openblas_get_num_threads64_", None)
+        put = getattr(handle, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+def set_blas_threads(n: int):
+    """Set the BLAS thread count; returns the previous one, or None if unsupported."""
+    api = _openblas_threads_api()
+    if api is None:
+        return None
+    get, put = api
+    previous = int(get())
+    put(n)
+    return previous
 
 
 def _prepare_output_dir(cfg: ExperimentConfig, override) -> Path:
@@ -453,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=False, help="experiment config (INI)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--output", default=None, help="output directory override")
-        p.add_argument("--threads", type=int, default=1, help="reserved; numerics are thread-count independent at 1")
+        p.add_argument("--threads", type=int, default=1, help="BLAS threads; outputs do not depend on it")
 
     p_train = sub.add_parser("train", help="train a denoiser per the config")
     common(p_train)
@@ -469,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite")
     p_verify.add_argument("--output", default=None)
     p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--threads", type=int, default=1)
+    p_verify.add_argument("--threads", type=int, default=1, help="BLAS threads; outputs do not depend on it")
 
     p_mis = sub.add_parser("misspec", help="sweep deployment-time system perturbations")
     common(p_mis)
@@ -491,7 +519,16 @@ def main(argv=None) -> int:
     try:
         if args.command != "verify" and not args.config:
             raise ConfigError(f"{args.command} requires --config PATH")
-        return handlers[args.command](args)
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+        previous = set_blas_threads(args.threads)
+        if previous is None and args.threads != 1:
+            print("warning: --threads ignored: numpy does not use its bundled OpenBLAS", file=_sys.stderr)
+        try:
+            return handlers[args.command](args)
+        finally:
+            if previous is not None:
+                set_blas_threads(previous)
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_USAGE

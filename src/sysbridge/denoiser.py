@@ -111,8 +111,13 @@ def _act(name, z):
         return np.maximum(z, 0.0)
     if name == "tanh":
         return np.tanh(z)
-    s = 1.0 / (1.0 + np.exp(-z))
-    return z * s
+    # z * (1 / (1 + exp(-z))) in one buffer, bit for bit
+    out = np.negative(z)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    out *= z
+    return out
 
 
 def _act_grad(name, z):

@@ -15,6 +15,16 @@ consistency between those closed-form marginals and the underlying SDE
 
 and is never part of a production path.  Sigma_t is materialized only by
 `analytic_marginal`, for test-scale oracles; no core routine inverts it.
+
+Both the one-shot draw and each simulator step are one range/null split,
+`linop.with_range`, costing one `apply` and one `apply_pinv`:
+
+    forward_sample:  with_range(alpha x0 + sqrt(beta) eps', x0, sqrt(gamma) S eps)
+    SDE step:        with_range(x + dt L x + sqrt(dt) gnull eps', x,
+                                sqrt(dt dgamma/dt) S eps),   L = dlog(alpha)/dt
+
+`drift_diffusion` spells the same SDE out as separate operator actions; the
+tests check the fused step against it.
 """
 
 from __future__ import annotations
@@ -61,16 +71,16 @@ def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> Proces
     noise).  Leading axes of x0 are treated as a batch.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    rng_part = linop.project_range(sys, x0)
-    null_part = x0 - rng_part
     eps = rng.standard_normal(x0.shape[:-1] + (sys.m,))
-    eps_null = rng.standard_normal(x0.shape)
-    x_t = (
-        rng_part
-        + coeffs.alpha * null_part
-        + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(eps))
-        + np.sqrt(coeffs.beta) * (eps_null - linop.project_range(sys, eps_null))
-    )
+    v = rng.standard_normal(x0.shape)
+    v *= np.sqrt(coeffs.beta)
+    v += coeffs.alpha * x0
+    range_noise = None
+    if not sys.noise_is_zero:
+        eps *= np.sqrt(coeffs.gamma)
+        range_noise = sys.noise_scale(eps)
+    # the range part of x0, alpha times its null part, null noise, range noise
+    x_t = linop.with_range(sys, v, x0, range_noise)
     return ProcessState(x=x_t, t=coeffs.t)
 
 
@@ -107,17 +117,21 @@ def analytic_marginal(sys: LinearSystem, coeffs: ScheduleCoeffs, x0) -> Gaussian
     )
 
 
-def drift_diffusion(sys: LinearSystem, coeffs: ScheduleCoeffs) -> DriftDiffusion:
-    """Operator bundle for the SDE at coeffs.t."""
+def _diffusion_roots(coeffs: ScheduleCoeffs):
+    """(sqrt(gnull_sq), sqrt(dgamma/dt)), refusing negative rates."""
     if coeffs.gnull_sq < -1e-12:
         raise NumericalError(
             f"negative null diffusion rate {coeffs.gnull_sq:.3e} at t={coeffs.t}"
         )
-    gnull = np.sqrt(max(coeffs.gnull_sq, 0.0))
     dgamma = coeffs.dgamma_dt
     if dgamma < 0:
         raise NumericalError(f"negative range diffusion rate {dgamma:.3e} at t={coeffs.t}")
-    root_dgamma = np.sqrt(dgamma)
+    return np.sqrt(max(coeffs.gnull_sq, 0.0)), np.sqrt(dgamma)
+
+
+def drift_diffusion(sys: LinearSystem, coeffs: ScheduleCoeffs) -> DriftDiffusion:
+    """Operator bundle for the SDE at coeffs.t."""
+    gnull, root_dgamma = _diffusion_roots(coeffs)
 
     def apply_F(x):
         return coeffs.dlog_alpha_dt * linop.project_null(sys, x)
@@ -164,16 +178,21 @@ def simulate_forward_sde(
     remaining = sorted(checkpoint_times) if checkpoint_times else []
     recorded = {}
     root_dt = np.sqrt(dt)
+    noisy = not sys.noise_is_zero
     for k in range(n_steps):
         t = t0 + k * dt
-        dd = drift_diffusion(sys, evaluate(spec, t))
+        coeffs = evaluate(spec, t)
+        gnull, root_dgamma = _diffusion_roots(coeffs)
         eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
-        eps_null = rng.standard_normal(x.shape)
-        x = (
-            x
-            + dt * dd.apply_F(x)
-            + root_dt * (dd.apply_GGT_half_range(eps) + dd.apply_GGT_half_null(eps_null))
-        )
+        range_noise = None
+        if noisy:
+            eps *= root_dt * root_dgamma
+            range_noise = sys.noise_scale(eps)
+        # x + dt L x + sqrt(dt) gnull eps_null, then its range part reset to x's
+        v = rng.standard_normal(x.shape)
+        v *= root_dt * gnull
+        v += (1.0 + dt * coeffs.dlog_alpha_dt) * x
+        x = linop.with_range(sys, v, x, range_noise)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
                 f"forward SDE diverged at step {k} (t={t:.6f})", step=k, t=t

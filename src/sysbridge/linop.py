@@ -5,7 +5,9 @@ y = A x + S e, where A is the m x d system response matrix, S is a square
 root of the noise covariance (S S^T = Sigma) and e is standard Gaussian.
 The Moore-Penrose pseudoinverse A+ splits the signal space into the range
 component A+ A x, which survives measurement, and the null component
-(I - A+ A) x, which is annihilated by A.
+(I - A+ A) x, which is annihilated by A.  `with_range` combines the null
+part of one vector with the range part of another in a single `apply` and
+`apply_pinv`; the forward process and the sampler update through it.
 
 All downstream math consumes operators through closures (`apply`,
 `apply_transpose`, `apply_pinv`, `noise_scale`) so structured systems never
@@ -41,7 +43,8 @@ class LinearSystem:
     m, d:
         Measurement and signal dimensions.
     apply, apply_transpose, apply_pinv:
-        Actions of A, A^T and A+.  Vectorized over leading axes.
+        Actions of A, A^T and A+.  Vectorized over leading axes; each
+        returns a new array.
     noise_scale:
         Action of the covariance square root S on a measurement-space
         vector; the zero function when the system is noiseless.
@@ -128,6 +131,24 @@ def project_null(sys: LinearSystem, x: np.ndarray) -> np.ndarray:
     """Component of x annihilated by A: x - A+ A x."""
     x = _check_last_axis(x, sys.d, "project_null")
     return x - sys.apply_pinv(sys.apply(x))
+
+
+def with_range(sys: LinearSystem, v: np.ndarray, r, s=None) -> np.ndarray:
+    """Null part of v, range part of r, plus A+ s: v + A+ (A (r - v) + s).
+
+    The one range/null split of the hot paths: a forward draw, a forward-SDE
+    step, a chain start and a reverse step are each a single call, so each
+    costs exactly one `apply` and one `apply_pinv`.  r may be a scalar (0.0
+    keeps no range part) and s a measurement-space term or None.  The
+    operator outputs are updated in place, so closures must return new arrays.
+    """
+    v = _check_last_axis(v, sys.d, "with_range")
+    a = sys.apply(r - v)
+    if s is not None:
+        a += s
+    out = sys.apply_pinv(a)
+    out += v
+    return out
 
 
 def pseudoinverse_reconstruction(sys: LinearSystem, y: np.ndarray) -> np.ndarray:

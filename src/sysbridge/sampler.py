@@ -10,12 +10,24 @@ clock ln(alpha^2 / beta)).  Each step moves along the denoiser-based drift
             - L * nullpart(x),        L = dlog(alpha)/dt
 
 which equals G G^T times the marginal score when the denoiser is the exact
-conditional expectation (see oracle.dense_score), and injects noise through
-the same G as the forward process.
+conditional expectation (see oracle.dense_score and `score_drift`), and
+injects noise through the same G as the forward process.
+
+Every term acts on one subspace only, so a whole step is a single range/null
+split, `linop.with_range`, at the cost of one `apply` and one `apply_pinv`:
+
+    x_new = with_range(x + w, x + u, sqrt(dt dgamma/dt) S eps)
+    w     = dt [(f_null - 2 L)(alpha d - x) - L x] + sqrt(dt) gnull eps_null
+    u     = dt f_range (d - x),          d = denoised estimate
+
+keeps the null part of x + w, takes the range part of x + u and adds the
+range noise A+ S eps.  The chain start is with_range(sqrt(beta) eps_null,
+0, y) at the same cost.
 
 When the system is noiseless the range component carries the signal exactly,
 so range noise and range drift are skipped and, with the range lock on, the
-range component is re-pinned to the reconstruction after every step.
+range part x + u is replaced by the chain's initial range component, which
+pins the range inside the same split.
 """
 
 from __future__ import annotations
@@ -107,10 +119,11 @@ def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> ProcessState:
         raise DimensionError(
             f"initialize: expected measurements with last axis {sys.m}, got {y.shape}"
         )
-    recon = sys.apply_pinv(y)
     beta = evaluate(spec, spec.t_max).beta
-    eps_null = rng.standard_normal(recon.shape)
-    x = recon + np.sqrt(beta) * linop.project_null(sys, eps_null)
+    noise = rng.standard_normal(y.shape[:-1] + (sys.d,))
+    noise *= np.sqrt(beta)
+    # A+ y plus the null part of the noise
+    x = linop.with_range(sys, noise, 0.0, y)
     return ProcessState(x=x, t=spec.t_max)
 
 
@@ -141,8 +154,14 @@ def reverse_step(
     denoised: np.ndarray,
     dt: float,
     rng,
+    locked_range: Optional[np.ndarray] = None,
 ) -> ProcessState:
     """One Euler-Maruyama update from state.t down to state.t - dt.
+
+    The update is one range/null split, so it costs one `apply` and one
+    `apply_pinv` (see the module docstring).  With ``locked_range`` given
+    (noiseless systems), the new range part is that vector instead of the
+    current one.
 
     Noise order per step is fixed: the measurement-space draw first (only
     taken when the system is noisy), then the signal-space draw.
@@ -150,20 +169,39 @@ def reverse_step(
     if dt < 0:
         raise ValueError("dt must be >= 0")
     x = np.asarray(state.x, dtype=np.float64)
+    denoised = np.asarray(denoised, dtype=np.float64)
     noisy = not sys.noise_is_zero
+    lam = coeffs.dlog_alpha_dt
+    stiff = coeffs.f_null - 2.0 * lam
 
-    drift = score_drift(sys, coeffs, x, denoised, include_range=noisy)
-    drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
-
-    noise = np.zeros_like(x)
+    range_noise = None
     if noisy and coeffs.dgamma_dt > 0:
         eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
-        noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(eps))
-    eps_null = rng.standard_normal(x.shape)
-    noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, eps_null)
+        eps *= np.sqrt(dt * coeffs.dgamma_dt)
+        range_noise = sys.noise_scale(eps)
+    # x + w, accumulated in the draw's buffer:
+    # (dt stiff alpha) d + (1 - dt (stiff + L)) x + sqrt(dt gnull_sq) eps_null
+    v = rng.standard_normal(x.shape)
+    v *= np.sqrt(dt * max(coeffs.gnull_sq, 0.0))
+    tmp = np.multiply(denoised, dt * stiff * coeffs.alpha)
+    v += tmp
+    np.multiply(x, 1.0 - dt * (stiff + lam), out=tmp)
+    v += tmp
 
-    x_new = x + dt * drift + np.sqrt(dt) * noise
+    if locked_range is not None:
+        r = locked_range
+    elif noisy:
+        # x + u = x + dt f_range (d - x)
+        r = np.subtract(denoised, x, out=tmp)
+        r *= dt * coeffs.f_range
+        r += x
+    else:
+        r = x
+    x_new = linop.with_range(sys, v, r, range_noise)
+
     if not np.all(np.isfinite(x_new)):
+        drift = score_drift(sys, coeffs, x, denoised, include_range=noisy)
+        drift = drift - lam * linop.project_null(sys, x)
         raise DivergenceError(
             f"reverse step diverged at t={state.t:.6f} "
             f"(|drift|={float(np.max(np.abs(drift))):.3e})",
@@ -195,8 +233,9 @@ def sample(
         y = np.broadcast_to(y, (n_chains, y.shape[0])).copy()
 
     state = initialize(sys, spec, y, rng)
-    lock = config.noiseless_range_lock and sys.noise_is_zero
-    locked_range = linop.project_range(sys, state.x) if lock else None
+    locked_range = None
+    if config.noiseless_range_lock and sys.noise_is_zero:
+        locked_range = linop.project_range(sys, state.x)
 
     grid = time_grid(spec, config.n_steps, config.time_grid)
     states = [] if config.keep_every else None
@@ -206,11 +245,9 @@ def sample(
         coeffs = evaluate(spec, t)
         denoised = denoiser(state.x, t)
         try:
-            state = reverse_step(sys, coeffs, state, denoised, dt, rng)
+            state = reverse_step(sys, coeffs, state, denoised, dt, rng, locked_range)
         except DivergenceError as exc:
             raise DivergenceError(f"chain failed at step {k}: {exc}", step=k, t=t) from exc
-        if lock:
-            state.x = locked_range + linop.project_null(sys, state.x)
         if states is not None and (k + 1) % config.keep_every == 0:
             states.append(ProcessState(x=state.x.copy(), t=state.t))
 

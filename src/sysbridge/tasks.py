@@ -18,7 +18,9 @@ Four operator families over flattened side x side grayscale images in
 parameters and returns a measurement generator, while any trained model
 keeps its training-time system embedded; this is the misspecification
 protocol.  Poisson measurement noise is available as an evaluation-only
-generator and is never embedded.
+generator and is never embedded: it draws photon counts N ~ Poisson(I0
+exp(-A x)) and returns the line integrals -log(max(N, 1) / I0), which are in
+the units of A x like every other generator's measurements.
 """
 
 from __future__ import annotations
@@ -330,8 +332,9 @@ def perturb_system(spec: TaskSpec, pert: Perturbation):
         intensity = float(pert.poisson_i0)
 
         def generate(x0, rng):
-            rate = intensity * np.exp(-deployed.apply(x0))
-            return rng.poisson(rate).astype(np.float64)
+            # photon counts, logged back to line integrals in the units of A x
+            counts = rng.poisson(intensity * np.exp(-deployed.apply(x0)))
+            return -np.log(np.maximum(counts, 1) / intensity)
 
     else:
 

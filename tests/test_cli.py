@@ -205,6 +205,61 @@ class TestMisspec:
         assert rows == ["run_id,task,variant,perturbation,psnr,ssim,n_samples,seed"]
 
 
+THREADS_INI = """
+[run]
+run_id = threads
+output_dir = {out}
+
+[task]
+task = mri
+image_side = 8
+sigma2_sq = 0.001
+dataset = field
+n_train = 64
+
+[train]
+lr = 0.001
+batch_size = 32
+n_epochs = 1
+lr_milestones =
+hidden = 256
+
+[sample]
+n_steps = 10
+n_samples = 512
+"""
+
+
+class TestThreads:
+    def test_sample_bytes_independent_of_thread_count(self, tmp_path):
+        # 512 chains through a 256-wide network: matmuls large enough for
+        # OpenBLAS to split them across threads
+        cfg, out = write_config(tmp_path, THREADS_INI)
+        assert cli.main(["train", "--config", str(cfg)]) == 0
+        blobs = []
+        for threads in ("1", "2"):
+            dest = tmp_path / f"threads-{threads}"
+            assert cli.main([
+                "sample", "--config", str(cfg), "--checkpoint", str(out / "checkpoint.ckpt"),
+                "--simulate", "--output", str(dest), "--threads", threads,
+            ]) == 0
+            blobs.append([(dest / name).read_bytes() for name in ("samples.sdbt", "metrics.csv")])
+        assert blobs[0] == blobs[1]
+
+    def test_thread_count_restored_after_command(self):
+        before = cli.set_blas_threads(1)
+        if before is None:
+            pytest.skip("numpy does not use its bundled OpenBLAS")
+        try:
+            assert cli.main(["verify", "otode", "--threads", "2"]) == 0
+            assert cli.set_blas_threads(1) == 1
+        finally:
+            cli.set_blas_threads(before)
+
+    def test_zero_threads_exit_2(self):
+        assert cli.main(["verify", "otode", "--threads", "0"]) == 2
+
+
 def test_config_roundtrip_identity(tmp_path):
     from sysbridge.config import parse_config, parse_config_text, serialize_config
 

@@ -42,6 +42,14 @@ class TestForward:
         with pytest.raises(DimensionError):
             dn.forward_denoise(net, np.zeros(4), 0.1)
 
+    def test_silu_bytes_match_formula(self):
+        # the in-place activation is the textbook formula, bit for bit
+        z = np.random.default_rng(3).standard_normal((64, 48)) * 20.0
+        z[0, :6] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]
+        with np.errstate(over="ignore"):
+            expected = z * (1.0 / (1.0 + np.exp(-z)))
+            assert dn._act("silu", z).tobytes() == expected.tobytes()
+
 
 class TestLossAndGrad:
     def setup_method(self):

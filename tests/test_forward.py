@@ -56,6 +56,65 @@ class TestForwardSample:
         )
 
 
+class TestFusedUpdate:
+    """Forward draw and SDE step against their term-by-term transcriptions."""
+
+    def system(self, seed):
+        rng = np.random.default_rng(seed)
+        return linop.build_dense_system(rng.standard_normal((2, 4)), sigma_half=0.4), rng
+
+    def test_forward_sample(self):
+        sys, rng = self.system(11)
+        x0 = rng.standard_normal((6, 4))
+        for variant in ("sb", "vp", "ve"):
+            coeffs = schedule.evaluate(schedule.ScheduleSpec(variant), 0.3)
+            out = forward.forward_sample(sys, coeffs, x0, np.random.default_rng(5)).x
+            draws = np.random.default_rng(5)
+            eps = draws.standard_normal((6, 2))
+            eps_null = draws.standard_normal((6, 4))
+            expected = (
+                forward.mean_apply(sys, coeffs, x0)
+                + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(eps))
+                + np.sqrt(coeffs.beta) * linop.project_null(sys, eps_null)
+            )
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    def test_sde_step(self):
+        sys, rng = self.system(12)
+        x0 = rng.standard_normal((6, 4))
+        spec = schedule.ScheduleSpec("sb")
+        out = forward.simulate_forward_sde(
+            sys, spec, x0, 1, np.random.default_rng(6), exact_start=False
+        ).x
+        dt = spec.t_max - spec.t_min
+        dd = forward.drift_diffusion(sys, schedule.evaluate(spec, spec.t_min))
+        draws = np.random.default_rng(6)
+        eps = draws.standard_normal((6, 2))
+        eps_null = draws.standard_normal((6, 4))
+        expected = x0 + dt * dd.apply_F(x0) + np.sqrt(dt) * (
+            dd.apply_GGT_half_range(eps) + dd.apply_GGT_half_null(eps_null)
+        )
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+
+class TestOperatorCalls:
+    """One A and one A+ per forward draw and per forward-SDE step."""
+
+    def test_forward_sample(self, counting):
+        sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.4)
+        forward.forward_sample(sys, coeffs, np.ones((5, 3)), np.random.default_rng(0))
+        assert calls == {"apply": 1, "apply_pinv": 1}
+
+    def test_forward_sde_step(self, counting):
+        sys, calls = counting(mask_system(sigma=0.5))
+        spec = schedule.ScheduleSpec("vp")
+        forward.simulate_forward_sde(
+            sys, spec, np.ones((5, 2)), 6, np.random.default_rng(0), exact_start=False
+        )
+        assert calls == {"apply": 6, "apply_pinv": 6}
+
+
 class TestAnalyticMarginal:
     def test_identity_noiseless(self):
         sys = linop.identity_system(3)

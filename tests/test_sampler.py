@@ -97,6 +97,95 @@ class TestReverseStep:
         np.testing.assert_allclose(out.x, expected, atol=1e-12)
 
 
+def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
+    """The reverse step written out term by term with separate projections."""
+    noisy = not sys.noise_is_zero
+    drift = sampler.score_drift(sys, coeffs, x, denoised, include_range=noisy)
+    drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
+    noise = np.zeros_like(x)
+    if noisy and coeffs.dgamma_dt > 0:
+        eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
+        noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(eps))
+    eps_null = rng.standard_normal(x.shape)
+    noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, eps_null)
+    x_new = x + dt * drift + np.sqrt(dt) * noise
+    if locked_range is not None:
+        x_new = locked_range + linop.project_null(sys, x_new)
+    return x_new
+
+
+class TestFusedStep:
+    """The fused update against its term-by-term transcription, same seed."""
+
+    def check(self, sys, coeffs, x, denoised, dt, seed, locked_range=None):
+        out = sampler.reverse_step(
+            sys, coeffs, forward.ProcessState(x=x.copy(), t=coeffs.t), denoised, dt,
+            np.random.default_rng(seed), locked_range,
+        )
+        expected = transcribed_step(
+            sys, coeffs, x, denoised, dt, np.random.default_rng(seed), locked_range
+        )
+        np.testing.assert_allclose(out.x, expected, rtol=0, atol=1e-12)
+
+    def test_random_noisy_dense_systems(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            d = int(rng.integers(2, 9))
+            m = int(rng.integers(1, d + 1))
+            noise = float(rng.uniform(0.1, 1.0)) if trial % 2 else np.diag(rng.uniform(0.1, 1.0, m))
+            sys = linop.build_dense_system(rng.standard_normal((m, d)), sigma_half=noise)
+            spec = schedule.ScheduleSpec(("sb", "vp", "ve")[trial % 3])
+            coeffs = schedule.evaluate(spec, float(rng.uniform(spec.t_min + 0.05, spec.t_max - 0.05)))
+            x = rng.standard_normal((5, d))
+            self.check(sys, coeffs, x, rng.standard_normal((5, d)), float(rng.uniform(0, 0.02)), trial)
+
+    def test_noiseless_mask_with_lock(self):
+        rng = np.random.default_rng(9)
+        mask = np.repeat(np.eye(6), [1, 0, 1, 1, 0, 1], axis=0)
+        sys = linop.build_dense_system(mask)
+        x = rng.standard_normal((4, 6))
+        locked = linop.project_range(sys, rng.standard_normal((4, 6)))
+        for variant in ("sb", "vp", "ve"):
+            coeffs = schedule.evaluate(schedule.ScheduleSpec(variant), 0.6)
+            self.check(sys, coeffs, x, rng.standard_normal((4, 6)), 0.01, 1, locked)
+            self.check(sys, coeffs, x, rng.standard_normal((4, 6)), 0.01, 2)
+
+    def test_zero_dt(self):
+        rng = np.random.default_rng(10)
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
+        x = rng.standard_normal(2)
+        self.check(mask_system(sigma=0.5), coeffs, x, rng.standard_normal(2), 0.0, 3)
+        self.check(mask_system(), coeffs, x, rng.standard_normal(2), 0.0, 3)
+        self.check(mask_system(), coeffs, x, rng.standard_normal(2), 0.0, 3, np.array([0.7, 0.0]))
+
+
+class TestOperatorCalls:
+    """One A and one A+ per update."""
+
+    def test_reverse_step_noisy(self, counting):
+        sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
+        state = forward.ProcessState(x=np.ones((4, 3)), t=0.5)
+        sampler.reverse_step(sys, coeffs, state, np.zeros((4, 3)), 0.01, np.random.default_rng(0))
+        assert calls == {"apply": 1, "apply_pinv": 1}
+
+    def test_reverse_step_noiseless_with_lock(self, counting):
+        sys, calls = counting(mask_system())
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
+        state = forward.ProcessState(x=np.ones((4, 2)), t=0.5)
+        sampler.reverse_step(
+            sys, coeffs, state, np.zeros((4, 2)), 0.01, np.random.default_rng(0), np.array([1.0, 0.0])
+        )
+        assert calls == {"apply": 1, "apply_pinv": 1}
+
+    def test_sample_two_per_step(self, counting):
+        # the chain start and the range lock take two each, then two a step
+        sys, calls = counting(mask_system())
+        cfg = sampler.SamplerConfig(n_steps=7, spec=schedule.ScheduleSpec("sb"), seed=0)
+        sampler.sample(sys, cfg, np.array([0.5]), lambda x, t: x)
+        assert calls == {"apply": 2 + 7, "apply_pinv": 2 + 7}
+
+
 class TestScoreDecomposition:
     def test_drift_equals_diffusion_times_score(self):
         # the denoiser-based drift is G G^T times the exact marginal score

@@ -141,7 +141,26 @@ class TestPerturbations:
         )
         rng = np.random.default_rng(16)
         ys = gen(np.zeros((100_000 // 9, 9)), rng)
-        assert ys.mean() == pytest.approx(1e4, rel=0.01)
+        # at x0 = 0 the counts are Poisson(I0): logged line integrals have
+        # mean ~ 0 and, by the delta method, variance ~ 1 / I0
+        assert abs(ys.mean()) < 3e-4
+        assert ys.var() == pytest.approx(1e-4, rel=0.03)
+
+    def test_poisson_pseudoinverse_psnr_matches_gaussian(self):
+        # the misspecification sweep reconstructs A+ y from generated
+        # measurements; at high I0 Poisson noise of variance ~ 1/I0 must
+        # reconstruct like Gaussian noise of the same variance
+        spec = tasks.TaskSpec("ct", image_side=8, sigma1_sq=1e-4, seed=0)
+        x0 = tasks.make_toy_dataset("image_blobs", 50, seed=1, side=8)
+        psnrs = []
+        for pert in (
+            tasks.Perturbation(noise_model="poisson", poisson_i0=1e4),
+            tasks.Perturbation(),
+        ):
+            deployed, gen = tasks.perturb_system(spec, pert)
+            recon = deployed.apply_pinv(gen(x0, np.random.default_rng(2)))
+            psnrs.append(np.mean([tasks.psnr(r, x) for r, x in zip(recon, x0)]))
+        assert abs(psnrs[0] - psnrs[1]) < 1.0, psnrs
 
     def test_poisson_requires_positive_intensity(self):
         with pytest.raises(ValueError):
