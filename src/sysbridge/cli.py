@@ -262,6 +262,28 @@ def _load_measurements(path, m):
     return y
 
 
+def _checkpoint_denoiser(path, spec: ScheduleSpec, d: int):
+    """The checkpoint's network as a denoiser; ConfigError unless it loads,
+    embeds ``spec`` and acts on signals of width ``d``."""
+    try:
+        net, _, header = dn.load_checkpoint(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
+    if header.get("schedule_hash") != dn.schedule_hash(spec):
+        raise ConfigError(
+            "checkpoint schedule does not match config schedule "
+            f"({header.get('schedule_hash', 'missing')[:12]} vs "
+            f"{dn.schedule_hash(spec)[:12]}); refusing to sample with a "
+            "misspecified embedded schedule"
+        )
+    if net.signal_dim != d:
+        raise ConfigError(
+            f"checkpoint network acts on signals of width {net.signal_dim}, "
+            f"the configured system on {d}"
+        )
+    return dn.as_denoiser(net)
+
+
 def cmd_sample(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
@@ -281,15 +303,7 @@ def cmd_sample(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("sample requires --checkpoint (or --oracle-denoiser)")
-        net, _, header = dn.load_checkpoint(args.checkpoint)
-        if header.get("schedule_hash") != dn.schedule_hash(spec):
-            raise ConfigError(
-                "checkpoint schedule does not match config schedule "
-                f"({header.get('schedule_hash', 'missing')[:12]} vs "
-                f"{dn.schedule_hash(spec)[:12]}); refusing to sample with a "
-                "misspecified embedded schedule"
-            )
-        denoise = dn.as_denoiser(net)
+        denoise = _checkpoint_denoiser(args.checkpoint, spec, sys_.d)
 
     smp = cfg.sample
     rng = np.random.default_rng(smp.seed)
@@ -412,13 +426,9 @@ def cmd_misspec(args) -> int:
 
     if not args.checkpoint:
         raise ConfigError("misspec requires --checkpoint")
-    net, _, header = dn.load_checkpoint(args.checkpoint)
     spec = _schedule_spec(cfg)
-    if header.get("schedule_hash") != dn.schedule_hash(spec):
-        raise ConfigError("checkpoint schedule does not match config schedule")
-    denoise = dn.as_denoiser(net)
-
     train_sys = _build_system(cfg)
+    denoise = _checkpoint_denoiser(args.checkpoint, spec, train_sys.d)
     task_spec = _task_spec(cfg)
     rows, summary = [], []
     for value in values:

@@ -26,8 +26,8 @@ range noise A+ S eps.  The chain start is with_range(sqrt(beta) eps_null,
 
 When the system is noiseless the range component carries the signal exactly,
 so range noise and range drift are skipped and, with the range lock on, the
-range part x + u is replaced by the chain's initial range component, which
-pins the range inside the same split.
+range part x + u is replaced by the chain's initial range component A+ y,
+which pins the range inside the same split.
 """
 
 from __future__ import annotations
@@ -235,7 +235,8 @@ def sample(
     state = initialize(sys, spec, y, rng)
     locked_range = None
     if config.noiseless_range_lock and sys.noise_is_zero:
-        locked_range = linop.project_range(sys, state.x)
+        # the range part of the chain start
+        locked_range = sys.apply_pinv(y)
 
     grid = time_grid(spec, config.n_steps, config.time_grid)
     states = [] if config.keep_every else None

@@ -28,21 +28,31 @@ def write_tensor(fh, array) -> None:
     fh.write(arr.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def read_tensor(fh) -> np.ndarray:
-    """Read one tensor record from an open binary stream."""
-    magic = fh.read(4)
+def _read_exact(fh, n: int) -> bytes:
+    data = fh.read(n)
+    if len(data) != n:
+        raise DimensionError("truncated tensor record")
+    return data
+
+
+def read_tensor(fh, shape=None) -> np.ndarray:
+    """Read one tensor record from an open binary stream.
+
+    With ``shape`` given, a record of any other shape is refused before its
+    payload is read.
+    """
+    magic = _read_exact(fh, 4)
     if magic != MAGIC:
         raise DimensionError(f"bad tensor magic {magic!r}, expected {MAGIC!r}")
-    (rank,) = struct.unpack("<I", fh.read(4))
+    (rank,) = struct.unpack("<I", _read_exact(fh, 4))
     if rank > _MAX_RANK:
         raise DimensionError(f"tensor rank {rank} exceeds limit {_MAX_RANK}")
-    shape = tuple(struct.unpack("<I", fh.read(4))[0] for _ in range(rank))
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-    payload = fh.read(8 * count)
-    if len(payload) != 8 * count:
-        raise DimensionError("truncated tensor payload")
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return data.reshape(shape)
+    found = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
+    if shape is not None and found != tuple(shape):
+        raise DimensionError(f"tensor has shape {found}, expected {tuple(shape)}")
+    count = int(np.prod(found, dtype=np.int64)) if rank else 1
+    payload = _read_exact(fh, 8 * count)
+    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(found)
 
 
 def save_tensor(path, array) -> None:

@@ -121,6 +121,7 @@ def test_criterion_07_gradient_correctness():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_mixture_learning():
     t0 = time.time()
     sys = linop.build_dense_system(np.array([[1.0, 0.0]]))
@@ -228,6 +229,7 @@ def _read_summary(path):
     return means, sds / np.sqrt(n)
 
 
+@pytest.mark.slow
 def test_criterion_10_misspecification_protocol(tmp_path):
     t0 = time.time()
     out = tmp_path / "mis"

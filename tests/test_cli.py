@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from sysbridge import cli, tensorio
+from sysbridge import denoiser as dn
+from sysbridge.config import parse_config
 
 MEMORIZE_INI = """
 [run]
@@ -203,6 +205,75 @@ class TestMisspec:
         assert code == 0
         rows = (dest / "metrics.csv").read_text().strip().splitlines()
         assert rows == ["run_id,task,variant,perturbation,psnr,ssim,n_samples,seed"]
+
+
+def _drop_header_line(blob, key):
+    head, sep, tail = blob.partition(b"---\n")
+    lines = [ln for ln in head.split(b"\n") if not ln.startswith(key.encode() + b"=")]
+    return b"\n".join(lines) + sep + tail
+
+
+def _replace_header_line(blob, key, value):
+    head, sep, tail = blob.partition(b"---\n")
+    lines = [
+        key.encode() + b"=" + value.encode() if ln.startswith(key.encode() + b"=") else ln
+        for ln in head.split(b"\n")
+    ]
+    return b"\n".join(lines) + sep + tail
+
+
+# each turns a valid checkpoint's bytes into a broken one (None: no file)
+BROKEN_CHECKPOINTS = {
+    "missing_file": None,
+    "missing_header_key": lambda blob: _drop_header_line(blob, "activation"),
+    "truncated_tensor": lambda blob: blob[:-12],
+    # the hidden width disagrees with the tensors, the signal width does not
+    "shape_mismatch": lambda blob: _replace_header_line(blob, "layer_dims", "17,6,16"),
+}
+
+
+class TestBrokenCheckpoint:
+    """Every unusable checkpoint ends in one config-error line and exit 2."""
+
+    @pytest.fixture()
+    def checkpoint(self, tmp_path):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+        spec = cli._schedule_spec(parse_config(cfg))
+        net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
+        path = tmp_path / "good.ckpt"
+        dn.save_checkpoint(path, net, spec)
+        return cfg, path
+
+    @pytest.mark.parametrize("command", ["sample", "misspec"])
+    def test_valid_checkpoint_runs(self, checkpoint, tmp_path, command):
+        cfg, path = checkpoint
+        extra = ["--simulate"] if command == "sample" else []
+        assert cli.main([command, "--config", str(cfg), "--checkpoint", str(path),
+                         "--output", str(tmp_path / "run"), *extra]) == 0
+
+    @pytest.mark.parametrize("command", ["sample", "misspec"])
+    @pytest.mark.parametrize("fault", sorted(BROKEN_CHECKPOINTS))
+    def test_exit_2_with_one_line(self, checkpoint, tmp_path, capsys, command, fault):
+        cfg, good = checkpoint
+        bad = tmp_path / "bad.ckpt"
+        corrupt = BROKEN_CHECKPOINTS[fault]
+        if corrupt is not None:
+            bad.write_bytes(corrupt(good.read_bytes()))
+        extra = ["--simulate"] if command == "sample" else []
+        capsys.readouterr()
+        code = cli.main([command, "--config", str(cfg), "--checkpoint", str(bad),
+                         "--output", str(tmp_path / "run"), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_signal_width_other_than_the_system_exit_2(self, checkpoint, tmp_path):
+        cfg, _ = checkpoint
+        other = tmp_path / "other.ckpt"
+        spec = cli._schedule_spec(parse_config(cfg))
+        dn.save_checkpoint(other, dn.init_net(9, hidden=(8,), time_embed="append_scalar"), spec)
+        assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(other), "--simulate",
+                         "--output", str(tmp_path / "run")]) == 2
 
 
 THREADS_INI = """

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sysbridge import denoiser as dn
-from sysbridge import linop, schedule
+from sysbridge import forward, linop, schedule
 from sysbridge.errors import DimensionError
 
 
@@ -129,6 +129,163 @@ class TestLossAndGrad:
         assert checked == 5
 
 
+class TestFlatLayout:
+    def test_parameters_are_consecutive_views_of_one_vector(self):
+        net = dn.init_net(5, hidden=(12, 7), seed=9)
+        offset = 0
+        for p in net.parameters():
+            assert np.shares_memory(p, net.flat)
+            assert p.ctypes.data == net.flat.ctypes.data + 8 * offset
+            offset += p.size
+        assert offset == net.flat.size
+        assert [p.shape for p in net.parameters()] == [
+            (21, 12), (12,), (12, 7), (7,), (7, 5), (5,)
+        ]
+
+    def test_construction_packs_a_copy(self):
+        weights = [np.ones((4, 3)), np.full((3, 3), 2.0)]
+        biases = [np.zeros(3), np.arange(3.0)]
+        net = dn.DenoiserNet([4, 3, 3], weights, biases, time_embed="append_scalar")
+        for p, src in zip(net.parameters(), [weights[0], biases[0], weights[1], biases[1]]):
+            assert not np.shares_memory(p, src)
+            np.testing.assert_array_equal(p, src)
+            assert np.shares_memory(p, net.flat)
+        np.testing.assert_array_equal(
+            net.flat, np.concatenate([p.ravel() for p in net.parameters()])
+        )
+
+    def test_writes_through_views_reach_the_vector(self):
+        net = dn.init_net(3, hidden=(4,), seed=0)
+        net.weights[1][:] = 7.0
+        assert np.count_nonzero(net.flat == 7.0) == 4 * 3
+
+    @pytest.mark.parametrize(
+        "weights, biases",
+        [
+            ([np.ones((4, 2)), np.ones((2, 3))], [np.ones(3), np.ones(3)]),
+            ([np.ones((4, 3)), np.ones((3, 3))], [np.ones(3), np.ones(2)]),
+            ([np.ones((4, 3))], [np.ones(3)]),
+        ],
+    )
+    def test_shape_mismatch_rejected(self, weights, biases):
+        with pytest.raises(DimensionError):
+            dn.DenoiserNet([4, 3, 3], weights, biases, time_embed="append_scalar")
+
+    def test_input_width_must_fit_signal_and_time_features(self):
+        with pytest.raises(DimensionError):
+            dn.DenoiserNet([5, 3], [np.ones((5, 3))], [np.ones(3)], time_embed="append_scalar")
+
+    def test_loss_and_grad_results_survive_a_second_call(self):
+        sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.4)
+        net = dn.init_net(3, hidden=(8,), seed=1)
+        x0 = np.random.default_rng(2).standard_normal((4, 3))
+        _, first = dn.loss_and_grad(net, sys, coeffs, x0, np.random.default_rng(3))
+        kept = [g.copy() for g in first]
+        _, second = dn.loss_and_grad(net, sys, coeffs, -x0, np.random.default_rng(4))
+        for g, k, g2 in zip(first, kept, second):
+            assert g.tobytes() == k.tobytes()
+            assert not np.shares_memory(g, g2)
+
+
+# -- the list form of the training step, kept as the reference that the flat
+# layout must reproduce bit for bit: one temporary per op, one gradient array
+# and one Adam update per parameter array
+
+def _ref_act(name, z):
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "tanh":
+        return np.tanh(z)
+    return z * (1.0 / (1.0 + np.exp(-z)))
+
+
+def _ref_act_grad(name, z):
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    if name == "tanh":
+        th = np.tanh(z)
+        return 1.0 - th * th
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s * (1.0 + z * (1.0 - s))
+
+
+def _ref_l1_loss_and_grad(net, weights, biases, x, t, target):
+    feats = dn.time_features(float(t), net.time_embed, net.time_freqs)
+    a = np.concatenate([x, np.broadcast_to(feats, x.shape[:-1] + feats.shape)], axis=-1)
+    acts, pres = [a], []
+    last = len(weights) - 1
+    for l, (w, b) in enumerate(zip(weights, biases)):
+        z = a @ w + b
+        pres.append(z)
+        a = z if l == last else _ref_act(net.activation, z)
+        acts.append(a)
+    resid = a - target
+    loss = float(np.mean(np.sum(np.abs(resid), axis=-1)))
+    delta = np.sign(resid) / x.shape[0]
+    grads_w, grads_b = [None] * len(weights), [None] * len(weights)
+    for l in range(last, -1, -1):
+        if l != last:
+            delta = delta * _ref_act_grad(net.activation, pres[l])
+        grads_w[l] = acts[l].T @ delta
+        grads_b[l] = delta.sum(axis=0)
+        if l:
+            delta = delta @ weights[l].T
+    return loss, [g for pair in zip(grads_w, grads_b) for g in pair]
+
+
+def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
+    params = [p.copy() for p in net.parameters()]
+    weights, biases = params[0::2], params[1::2]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(tcfg.seed)
+    beta1, beta2, lr, step = tcfg.adam_beta1, tcfg.adam_beta2, tcfg.lr, 0
+    losses = []
+    for epoch in range(tcfg.n_epochs):
+        if epoch in set(tcfg.lr_milestones):
+            lr *= 0.5
+        order = rng.permutation(data.shape[0])
+        total, n = 0.0, 0
+        for start in range(0, data.shape[0], tcfg.batch_size):
+            batch = data[order[start : start + tcfg.batch_size]]
+            coeffs = schedule.evaluate(spec, rng.uniform(spec.t_min, spec.t_max))
+            state = forward.forward_sample(sys, coeffs, batch, rng)
+            loss, grads = _ref_l1_loss_and_grad(net, weights, biases, state.x, coeffs.t, batch)
+            step += 1
+            c1 = 1.0 - beta1 ** step
+            c2 = 1.0 - beta2 ** step
+            for p, g, mi, vi in zip(params, grads, m, v):
+                mi *= beta1
+                mi += (1.0 - beta1) * g
+                vi *= beta2
+                vi += (1.0 - beta2) * g * g
+                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+            total += loss
+            n += 1
+        losses.append(total / n)
+    return losses, params
+
+
+class TestTrainBytes:
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "silu"])
+    @pytest.mark.parametrize("hidden, time_embed", [((16, 12), "sinusoidal"), ((), "append_scalar")])
+    def test_flat_training_matches_list_reference(self, activation, hidden, time_embed):
+        sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
+        spec = schedule.ScheduleSpec("sb", b0=0.25, b1=0.25)
+        # 37 rows: the last batch of each epoch is short
+        data = np.random.default_rng(5).standard_normal((37, 3))
+        tcfg = dn.TrainConfig(lr=3e-3, batch_size=8, n_epochs=6, seed=6, lr_milestones=(2, 4))
+        net = dn.init_net(3, hidden=hidden, activation=activation, time_embed=time_embed, seed=7)
+        before = net.flat.copy()
+        ref_losses, ref_params = _ref_train(net, sys, spec, data, tcfg)
+        _, losses = dn.train(net, sys, spec, data, tcfg)
+        assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
+        for p, ref in zip(net.parameters(), ref_params):
+            assert p.tobytes() == ref.tobytes()
+        assert not np.array_equal(net.flat, before)
+
+
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         params = [np.ones((2, 2)), np.zeros(3)]
@@ -216,10 +373,20 @@ class TestCheckpoint:
         assert loaded.activation == "tanh"
         for a, b in zip(loaded.parameters(), net.parameters()):
             np.testing.assert_array_equal(a, b)
+            assert np.shares_memory(a, loaded.flat)
         x = np.random.default_rng(10).standard_normal(5)
         np.testing.assert_array_equal(
             dn.forward_denoise(loaded, x, 0.3), dn.forward_denoise(net, x, 0.3)
         )
+
+    def test_layer_dims_disagreeing_with_tensors_rejected(self, tmp_path):
+        net = dn.init_net(3, hidden=(8,), seed=0)
+        path = tmp_path / "net.ckpt"
+        dn.save_checkpoint(path, net, schedule.ScheduleSpec("sb"))
+        blob = path.read_bytes()
+        path.write_bytes(blob.replace(b"layer_dims=19,8,3", b"layer_dims=19,9,3"))
+        with pytest.raises(DimensionError, match="shape"):
+            dn.load_checkpoint(path)
 
     def test_schedule_hash_sensitivity(self):
         s1 = schedule.ScheduleSpec("sb", b0=0.1)

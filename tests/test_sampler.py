@@ -179,11 +179,11 @@ class TestOperatorCalls:
         assert calls == {"apply": 1, "apply_pinv": 1}
 
     def test_sample_two_per_step(self, counting):
-        # the chain start and the range lock take two each, then two a step
+        # the chain start takes two and the range lock, A+ y, one; then two a step
         sys, calls = counting(mask_system())
         cfg = sampler.SamplerConfig(n_steps=7, spec=schedule.ScheduleSpec("sb"), seed=0)
         sampler.sample(sys, cfg, np.array([0.5]), lambda x, t: x)
-        assert calls == {"apply": 2 + 7, "apply_pinv": 2 + 7}
+        assert calls == {"apply": 1 + 7, "apply_pinv": 2 + 7}
 
 
 class TestScoreDecomposition:

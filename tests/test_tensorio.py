@@ -58,6 +58,25 @@ def test_truncated_payload_rejected():
         tensorio.read_tensor(io.BytesIO(blob))
 
 
+@pytest.mark.parametrize("keep", [0, 2, 6, 10])
+def test_truncated_header_rejected(keep):
+    # cut inside the magic, the rank or the shape: a DimensionError, not struct.error
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="truncated"):
+        tensorio.read_tensor(io.BytesIO(buf.getvalue()[:keep]))
+
+
+def test_expected_shape_checked_before_payload():
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, np.ones((2, 3)))
+    blob = buf.getvalue()
+    np.testing.assert_array_equal(tensorio.read_tensor(io.BytesIO(blob), (2, 3)), np.ones((2, 3)))
+    with pytest.raises(DimensionError, match="shape"):
+        # the payload is missing too: the shape is refused first
+        tensorio.read_tensor(io.BytesIO(blob[:16]), (3, 2))
+
+
 def test_csv_import(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("1.5,2.0\n-3.25,4.0\n", encoding="utf-8")
