@@ -254,7 +254,10 @@ def cmd_train(args) -> int:
 
 
 def _load_measurements(path, m):
-    y = tensorio.load_tensor(path)
+    try:
+        y = tensorio.load_tensor(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot load measurements {path}: {exc}") from exc
     if y.ndim == 1:
         y = y[None, :]
     if y.ndim != 2 or y.shape[1] != m:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Sequence
 
 import numpy as np
@@ -240,9 +241,18 @@ def _act_grad(name, z, out):
     return g
 
 
-def _input_features(net: DenoiserNet, x: np.ndarray, t: float) -> np.ndarray:
-    """[x, time features of t] along the last axis, in one buffer."""
-    feats = time_features(float(t), net.time_embed, net.time_freqs)
+@lru_cache(maxsize=4096)
+def _grid_time_features(t: float, mode: str, k: int) -> np.ndarray:
+    """`time_features`, read-only and cached: a sampler asks for the same
+    grid times on every pass.  Training draws its times at random and
+    computes them directly instead, so as not to evict these."""
+    feats = time_features(t, mode, k)
+    feats.flags.writeable = False
+    return feats
+
+
+def _input_features(x: np.ndarray, feats: np.ndarray) -> np.ndarray:
+    """[x, feats] along the last axis, in one buffer."""
     d = x.shape[-1]
     xin = np.empty(x.shape[:-1] + (d + feats.size,))
     xin[..., :d] = x
@@ -272,7 +282,8 @@ def forward_denoise(net: DenoiserNet, x, t: float) -> np.ndarray:
         raise DimensionError(
             f"forward_denoise: expected last axis {net.signal_dim}, got {x.shape}"
         )
-    out, _, _ = _forward_tape(net, _input_features(net, x, t))
+    feats = _grid_time_features(float(t), net.time_embed, net.time_freqs)
+    out, _, _ = _forward_tape(net, _input_features(x, feats))
     return out
 
 
@@ -286,7 +297,8 @@ def l1_loss_and_grad(net: DenoiserNet, x, t: float, target, grads) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     batch = x.shape[0]
-    out, acts, pres = _forward_tape(net, _input_features(net, x, t))
+    feats = time_features(float(t), net.time_embed, net.time_freqs)
+    out, acts, pres = _forward_tape(net, _input_features(x, feats))
     resid = np.subtract(out, target, out=out)
     loss = float(np.mean(np.sum(np.abs(resid), axis=-1)))
     delta = np.sign(resid, out=resid)

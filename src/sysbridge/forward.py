@@ -23,14 +23,13 @@ Both the one-shot draw and each simulator step are one range/null split,
     SDE step:        with_range(x + dt L x + sqrt(dt) gnull eps', x,
                                 sqrt(dt dgamma/dt) S eps),   L = dlog(alpha)/dt
 
-`drift_diffusion` spells the same SDE out as separate operator actions; the
-tests check the fused step against it.
+The tests keep the same SDE spelled out as separate operator actions and
+check the fused step against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -47,20 +46,6 @@ class ProcessState:
 
     x: np.ndarray
     t: float
-
-
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Matrix-free drift and diffusion actions at one time.
-
-    apply_F annihilates range-space vectors: the drift acts only on the
-    null space.  The two half-diffusion maps produce the range and null
-    noise contributions from independent standard normal draws.
-    """
-
-    apply_F: Callable[[np.ndarray], np.ndarray]
-    apply_GGT_half_range: Callable[[np.ndarray], np.ndarray]
-    apply_GGT_half_null: Callable[[np.ndarray], np.ndarray]
 
 
 def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> ProcessState:
@@ -127,22 +112,6 @@ def _diffusion_roots(coeffs: ScheduleCoeffs):
     if dgamma < 0:
         raise NumericalError(f"negative range diffusion rate {dgamma:.3e} at t={coeffs.t}")
     return np.sqrt(max(coeffs.gnull_sq, 0.0)), np.sqrt(dgamma)
-
-
-def drift_diffusion(sys: LinearSystem, coeffs: ScheduleCoeffs) -> DriftDiffusion:
-    """Operator bundle for the SDE at coeffs.t."""
-    gnull, root_dgamma = _diffusion_roots(coeffs)
-
-    def apply_F(x):
-        return coeffs.dlog_alpha_dt * linop.project_null(sys, x)
-
-    def apply_GGT_half_range(eps):
-        return root_dgamma * sys.apply_pinv(sys.noise_scale(eps))
-
-    def apply_GGT_half_null(eps):
-        return gnull * linop.project_null(sys, eps)
-
-    return DriftDiffusion(apply_F, apply_GGT_half_range, apply_GGT_half_null)
 
 
 def simulate_forward_sde(

@@ -28,6 +28,14 @@ When the system is noiseless the range component carries the signal exactly,
 so range noise and range drift are skipped and, with the range lock on, the
 range part x + u is replaced by the chain's initial range component A+ y,
 which pins the range inside the same split.
+
+Every scalar a step needs is a function of its grid point alone, so a pass
+walks a step plan: one (t, dt, coeffs) per step, with t, dt and the
+coefficients as Python floats.  Plans are built on first use per
+(spec, n_steps, time grid) and kept in a 16-entry LRU cache (a 1000-step
+plan is about half a megabyte), so repeated passes on the same grid evaluate
+the schedule only for the chain start.  Outputs are the same bytes as
+evaluating the grid and the coefficients step by step.
 """
 
 from __future__ import annotations
@@ -107,6 +115,23 @@ def time_grid(spec: ScheduleSpec, n_steps: int, mode: str = "uniform"):
     if mode == "uniform":
         return tuple(np.linspace(spec.t_max, spec.t_min, n_steps + 1))
     return _stiffness_grid(spec, n_steps)
+
+
+@lru_cache(maxsize=16)
+def _step_plan(spec: ScheduleSpec, n_steps: int, mode: str):
+    """(t, dt, coeffs) of every reverse step, highest time first.
+
+    ``t`` and ``dt`` are Python floats equal to the grid point and the gap
+    to the next one; ``coeffs`` is `evaluate` at that grid point, its
+    fields converted to Python floats as well.
+    """
+    grid = time_grid(spec, n_steps, mode)
+    plan = []
+    for t, t_next in zip(grid, grid[1:]):
+        c = evaluate(spec, t)
+        coeffs = ScheduleCoeffs(**{k: float(v) for k, v in vars(c).items()})
+        plan.append((float(t), float(t - t_next), coeffs))
+    return tuple(plan)
 
 
 def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> ProcessState:
@@ -199,7 +224,7 @@ def reverse_step(
         r = x
     x_new = linop.with_range(sys, v, r, range_noise)
 
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         drift = score_drift(sys, coeffs, x, denoised, include_range=noisy)
         drift = drift - lam * linop.project_null(sys, x)
         raise DivergenceError(
@@ -238,12 +263,8 @@ def sample(
         # the range part of the chain start
         locked_range = sys.apply_pinv(y)
 
-    grid = time_grid(spec, config.n_steps, config.time_grid)
     states = [] if config.keep_every else None
-    for k in range(config.n_steps):
-        t = grid[k]
-        dt = t - grid[k + 1]
-        coeffs = evaluate(spec, t)
+    for k, (t, dt, coeffs) in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
         denoised = denoiser(state.x, t)
         try:
             state = reverse_step(sys, coeffs, state, denoised, dt, rng, locked_range)

@@ -8,6 +8,8 @@ concatenated into one stream (used by model checkpoints).
 
 from __future__ import annotations
 
+import io
+import math
 import struct
 
 import numpy as np
@@ -35,11 +37,22 @@ def _read_exact(fh, n: int) -> bytes:
     return data
 
 
+def _bytes_left(fh):
+    """Bytes from the position to the end of a seekable stream, else None."""
+    if not fh.seekable():
+        return None
+    here = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
 def read_tensor(fh, shape=None) -> np.ndarray:
     """Read one tensor record from an open binary stream.
 
     With ``shape`` given, a record of any other shape is refused before its
-    payload is read.
+    payload is read.  On a seekable stream, so is a record claiming more
+    payload than the stream holds.
     """
     magic = _read_exact(fh, 4)
     if magic != MAGIC:
@@ -50,8 +63,13 @@ def read_tensor(fh, shape=None) -> np.ndarray:
     found = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank))
     if shape is not None and found != tuple(shape):
         raise DimensionError(f"tensor has shape {found}, expected {tuple(shape)}")
-    count = int(np.prod(found, dtype=np.int64)) if rank else 1
-    payload = _read_exact(fh, 8 * count)
+    size = 8 * math.prod(found)
+    left = _bytes_left(fh)
+    if left is not None and size > left:
+        raise DimensionError(
+            f"truncated tensor record: shape {found} needs {size} payload bytes, {left} left"
+        )
+    payload = _read_exact(fh, size)
     return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(found)
 
 

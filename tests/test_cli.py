@@ -1,5 +1,8 @@
 """Command-line orchestration: exit codes, artifacts, reproducibility."""
 
+import io
+import struct
+
 import numpy as np
 import pytest
 
@@ -274,6 +277,41 @@ class TestBrokenCheckpoint:
         dn.save_checkpoint(other, dn.init_net(9, hidden=(8,), time_embed="append_scalar"), spec)
         assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(other), "--simulate",
                          "--output", str(tmp_path / "run")]) == 2
+
+
+def _tensor_bytes(array):
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, array)
+    return buf.getvalue()
+
+
+# each is the content of a bad --measurements file (None: no file)
+BROKEN_MEASUREMENTS = {
+    "missing_file": None,
+    "truncated_record": _tensor_bytes(np.full((2, 16), 0.6))[:-8],
+    # a 28-byte record whose header claims 2^31 x 2^31 elements
+    "oversized_header": tensorio.MAGIC + struct.pack("<3I", 2, 2 ** 31, 2 ** 31) + bytes(12),
+}
+
+
+class TestBrokenMeasurements:
+    """Every unreadable measurement file ends in one config-error line and exit 2."""
+
+    @pytest.mark.parametrize("fault", sorted(BROKEN_MEASUREMENTS))
+    def test_exit_2_with_one_line(self, tmp_path, capsys, fault):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+        spec = cli._schedule_spec(parse_config(cfg))
+        ckpt = tmp_path / "net.ckpt"
+        dn.save_checkpoint(ckpt, dn.init_net(16, hidden=(8,), time_embed="append_scalar"), spec)
+        ypath = tmp_path / "y.sdbt"
+        if BROKEN_MEASUREMENTS[fault] is not None:
+            ypath.write_bytes(BROKEN_MEASUREMENTS[fault])
+        capsys.readouterr()
+        code = cli.main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--measurements", str(ypath), "--output", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 THREADS_INI = """

@@ -108,7 +108,8 @@ class TestLossAndGrad:
                 continue
             if activation == "relu":
                 # keep away from activation kinks as well
-                _, _, pres = dn._forward_tape(net, dn._input_features(net, state.x, coeffs.t))
+                feats = dn.time_features(coeffs.t, net.time_embed, net.time_freqs)
+                _, _, pres = dn._forward_tape(net, dn._input_features(state.x, feats))
                 if min(float(np.min(np.abs(p))) for p in pres[:-1]) < 1e-3:
                     continue
             checked += 1

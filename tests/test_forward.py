@@ -1,5 +1,8 @@
 """Forward corruption: one-shot sampling, marginals, SDE consistency."""
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,37 @@ from sysbridge.errors import DivergenceError
 
 def mask_system(sigma=0.0):
     return linop.build_dense_system(np.array([[1.0, 0.0]]), sigma_half=sigma)
+
+
+@dataclass(frozen=True)
+class DriftDiffusion:
+    """Matrix-free drift and diffusion actions of the forward SDE at one time.
+
+    The term-by-term reference for the fused SDE step.  apply_F annihilates
+    range-space vectors: the drift acts only on the null space.  The two
+    half-diffusion maps produce the range and null noise contributions from
+    independent standard normal draws.
+    """
+
+    apply_F: Callable[[np.ndarray], np.ndarray]
+    apply_GGT_half_range: Callable[[np.ndarray], np.ndarray]
+    apply_GGT_half_null: Callable[[np.ndarray], np.ndarray]
+
+
+def drift_diffusion(sys, coeffs) -> DriftDiffusion:
+    """Operator bundle for the SDE at coeffs.t, each action spelled out."""
+    gnull, root_dgamma = forward._diffusion_roots(coeffs)
+
+    def apply_F(x):
+        return coeffs.dlog_alpha_dt * linop.project_null(sys, x)
+
+    def apply_GGT_half_range(eps):
+        return root_dgamma * sys.apply_pinv(sys.noise_scale(eps))
+
+    def apply_GGT_half_null(eps):
+        return gnull * linop.project_null(sys, eps)
+
+    return DriftDiffusion(apply_F, apply_GGT_half_range, apply_GGT_half_null)
 
 
 class TestForwardSample:
@@ -87,7 +121,7 @@ class TestFusedUpdate:
             sys, spec, x0, 1, np.random.default_rng(6), exact_start=False
         ).x
         dt = spec.t_max - spec.t_min
-        dd = forward.drift_diffusion(sys, schedule.evaluate(spec, spec.t_min))
+        dd = drift_diffusion(sys, schedule.evaluate(spec, spec.t_min))
         draws = np.random.default_rng(6)
         eps = draws.standard_normal((6, 2))
         eps_null = draws.standard_normal((6, 4))
@@ -148,14 +182,14 @@ class TestDriftDiffusion:
     def test_ve_drift_vanishes(self):
         sys = mask_system()
         coeffs = schedule.evaluate(schedule.ScheduleSpec("ve"), 0.5)
-        dd = forward.drift_diffusion(sys, coeffs)
+        dd = drift_diffusion(sys, coeffs)
         x = np.array([1.0, 5.0])
         np.testing.assert_allclose(dd.apply_F(x), np.zeros(2))
 
     def test_vp_drift_acts_on_null_only(self):
         sys = mask_system()
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        dd = forward.drift_diffusion(sys, coeffs)
+        dd = drift_diffusion(sys, coeffs)
         x = np.array([3.0, 7.0])
         np.testing.assert_allclose(dd.apply_F(x), [0.0, -2.0 * 7.0])
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sysbridge import denoiser as dn
 from sysbridge import forward, linop, oracle, sampler, schedule
 from sysbridge.verification import posterior_problem
 from sysbridge.errors import DimensionError
@@ -184,6 +185,118 @@ class TestOperatorCalls:
         cfg = sampler.SamplerConfig(n_steps=7, spec=schedule.ScheduleSpec("sb"), seed=0)
         sampler.sample(sys, cfg, np.array([0.5]), lambda x, t: x)
         assert calls == {"apply": 1 + 7, "apply_pinv": 2 + 7}
+
+
+def per_step_sample(sys, config, y, denoiser):
+    """`sampler.sample` as it was before the step plan: the grid and the
+    coefficients computed step by step.  Returns (final, [(x, t) kept])."""
+    spec = config.spec
+    rng = np.random.default_rng(config.seed)
+    state = sampler.initialize(sys, spec, y, rng)
+    locked_range = None
+    if config.noiseless_range_lock and sys.noise_is_zero:
+        locked_range = sys.apply_pinv(y)
+    grid = sampler.time_grid(spec, config.n_steps, config.time_grid)
+    kept = []
+    for k in range(config.n_steps):
+        t = grid[k]
+        dt = t - grid[k + 1]
+        coeffs = schedule.evaluate(spec, t)
+        denoised = denoiser(state.x, t)
+        state = sampler.reverse_step(sys, coeffs, state, denoised, dt, rng, locked_range)
+        if config.keep_every and (k + 1) % config.keep_every == 0:
+            kept.append((state.x.copy(), state.t))
+    return state.x, kept
+
+
+def _noisy_dense(noise):
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((3, 6))
+    if noise == "matrix":
+        return linop.build_dense_system(a, sigma_half=np.diag(rng.uniform(0.1, 1.0, 3)))
+    return linop.build_dense_system(a, sigma_half=0.3)
+
+
+PLAN_SYSTEMS = {
+    "noisy_scalar": (lambda: _noisy_dense("scalar"), True),
+    "noisy_matrix": (lambda: _noisy_dense("matrix"), True),
+    "mask_lock": (lambda: linop.build_dense_system(np.eye(6)[[0, 2, 3, 5]]), True),
+    "mask_no_lock": (lambda: linop.build_dense_system(np.eye(6)[[0, 2, 3, 5]]), False),
+}
+
+
+class TestStepPlan:
+    """The cached step plan: same bytes as the per-step loop, one plan per
+    (spec, n_steps, grid)."""
+
+    @pytest.mark.parametrize("system", sorted(PLAN_SYSTEMS))
+    @pytest.mark.parametrize("grid", sampler.TIME_GRIDS)
+    @pytest.mark.parametrize("variant", schedule.VARIANTS)
+    def test_bytes_equal_per_step_loop(self, variant, grid, system):
+        build, lock = PLAN_SYSTEMS[system]
+        sys = build()
+        cfg = sampler.SamplerConfig(
+            n_steps=30, spec=schedule.ScheduleSpec(variant), noiseless_range_lock=lock,
+            seed=4, keep_every=7, time_grid=grid,
+        )
+        y = sys.apply(np.random.default_rng(22).standard_normal((5, 6)))
+
+        def den(x, t):
+            return np.tanh(x) * (1.0 - t)
+
+        final, kept = per_step_sample(sys, cfg, y, den)
+        for _ in range(2):  # building the plan, then reusing it
+            trace = sampler.sample(sys, cfg, y, den)
+            assert trace.final.tobytes() == final.tobytes()
+            assert len(trace.states) == len(kept) == 4
+            for state, (x, t) in zip(trace.states, kept):
+                assert state.x.tobytes() == x.tobytes() and state.t == t
+
+    def test_second_sample_evaluates_once(self, monkeypatch):
+        calls = []
+        real = sampler.evaluate
+
+        def counted(spec, t):
+            calls.append(t)
+            return real(spec, t)
+
+        monkeypatch.setattr(sampler, "evaluate", counted)
+        cfg = sampler.SamplerConfig(n_steps=23, spec=schedule.ScheduleSpec("sb", b1=0.29), seed=0)
+        sampler.sample(mask_system(), cfg, np.array([0.5]), lambda x, t: x)
+        del calls[:]
+        sampler.sample(mask_system(), cfg, np.array([0.5]), lambda x, t: x)
+        assert len(calls) <= 1  # the chain start's, not n_steps + 1
+
+    def test_distinct_plans(self):
+        sb, vp = schedule.ScheduleSpec("sb"), schedule.ScheduleSpec("vp")
+        plan = sampler._step_plan(sb, 10, "uniform")
+        assert sampler._step_plan(sb, 10, "uniform") is plan
+        others = [
+            sampler._step_plan(vp, 10, "uniform"),
+            sampler._step_plan(sb, 11, "uniform"),
+            sampler._step_plan(sb, 10, "stiffness"),
+        ]
+        for other in others:
+            assert other != plan
+        assert [c.alpha for _, _, c in plan] != [c.alpha for _, _, c in others[0]]
+        assert len(others[1]) == 11
+        assert [t for t, _, _ in plan] != [t for t, _, _ in others[2]]
+        for t, dt, coeffs in plan:
+            assert type(t) is float and type(dt) is float and coeffs.t == t
+
+    def test_network_time_features_read_only(self):
+        net = dn.init_net(3, hidden=(4,), seed=0)
+        x = np.random.default_rng(0).standard_normal((2, 3))
+        # the uncached forward pass, for reference
+        feats = dn.time_features(0.25, net.time_embed, net.time_freqs)
+        expected, _, _ = dn._forward_tape(net, dn._input_features(x, feats))
+        for _ in range(2):
+            assert dn.forward_denoise(net, x, np.float64(0.25)).tobytes() == expected.tobytes()
+        cached = dn._grid_time_features(0.25, net.time_embed, net.time_freqs)
+        assert cached is dn._grid_time_features(0.25, net.time_embed, net.time_freqs)
+        assert cached.tobytes() == feats.tobytes()
+        with pytest.raises(ValueError):
+            cached[0] = 1.0
 
 
 class TestScoreDecomposition:

@@ -1,6 +1,7 @@
 """Binary tensor format and CSV matrix import."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -75,6 +76,47 @@ def test_expected_shape_checked_before_payload():
     with pytest.raises(DimensionError, match="shape"):
         # the payload is missing too: the shape is refused first
         tensorio.read_tensor(io.BytesIO(blob[:16]), (3, 2))
+
+
+def _record_bytes(array):
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, array)
+    return buf.getvalue()
+
+
+def _oversized_record():
+    # a 28-byte record whose header claims 2^31 x 2^31 elements
+    return tensorio.MAGIC + struct.pack("<3I", 2, 2 ** 31, 2 ** 31) + b"\x00" * 12
+
+
+def test_oversized_claim_refused_before_reading():
+    class CountingReads(io.BytesIO):
+        def read(self, n=-1):
+            self.asked = getattr(self, "asked", 0) + n
+            return super().read(n)
+
+    fh = CountingReads(_oversized_record())
+    with pytest.raises(DimensionError, match="truncated"):
+        tensorio.read_tensor(fh)
+    assert fh.asked == 16  # magic, rank and shape only
+
+
+# each is the content of a bad tensor file (None: no file)
+BAD_TENSOR_FILES = {
+    "missing_file": None,
+    "truncated_record": _record_bytes(np.ones((2, 3)))[:-8],
+    "oversized_header": _oversized_record(),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_TENSOR_FILES))
+def test_bad_tensor_file_raises_value_or_os_error(tmp_path, fault):
+    path = tmp_path / "bad.sdbt"
+    if BAD_TENSOR_FILES[fault] is not None:
+        path.write_bytes(BAD_TENSOR_FILES[fault])
+    expected = OSError if fault == "missing_file" else DimensionError
+    with pytest.raises(expected):
+        tensorio.load_tensor(path)
 
 
 def test_csv_import(tmp_path):
