@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end misspecification sweep on the Fourier-mask toy via the CLI.
 
-Trains a checkpoint under the default system, then evaluates it on
-measurements from systems with decreasing lambda1 and with doubled noise,
-writing metrics CSVs into the chosen output directory.
+Trains a checkpoint with ``configs/misspec_mri.ini`` (the configuration of
+acceptance criterion 10), then evaluates it on measurements from systems
+with decreasing lambda1 and with doubled noise, writing metrics CSVs into
+the chosen output directory.
 """
 
 import argparse
@@ -12,44 +13,7 @@ import sys
 
 from sysbridge import cli
 
-CONFIG = """
-[run]
-run_id = misspec-demo
-output_dir = {out}
-
-[task]
-task = mri
-image_side = 16
-lambda1 = 16
-lambda2 = 30
-sigma2_sq = 0.001
-seed = 4
-dataset = field
-field_scale = 3.0
-field_amp = 0.1
-n_train = 4096
-data_seed = 21
-
-[schedule]
-variant = sb
-
-[train]
-lr = 0.001
-batch_size = 8
-n_epochs = 100
-lr_milestones = 40,65,85
-hidden = 256
-seed = 2
-
-[sample]
-n_steps = 100
-
-[eval]
-param = lambda1
-values = 16,14,12,10
-n_draws = 100
-seed = 77
-"""
+CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" / "misspec_mri.ini"
 
 
 def main():
@@ -58,18 +22,17 @@ def main():
     args = ap.parse_args()
     out = pathlib.Path(args.out)
     out.parent.mkdir(exist_ok=True, parents=True)
-    cfg_path = out.with_suffix(".ini")
-    cfg_path.write_text(CONFIG.format(out=out), encoding="utf-8")
+    cfg = str(CONFIG)
 
-    rc = cli.main(["train", "--config", str(cfg_path)])
+    rc = cli.main(["train", "--config", cfg, "--output", str(out)])
     if rc:
         return rc
     ckpt = str(out / "checkpoint.ckpt")
-    rc = cli.main(["misspec", "--config", str(cfg_path), "--checkpoint", ckpt,
+    rc = cli.main(["misspec", "--config", cfg, "--checkpoint", ckpt,
                    "--output", str(out / "lambda_sweep")])
     if rc:
         return rc
-    rc = cli.main(["misspec", "--config", str(cfg_path), "--checkpoint", ckpt,
+    rc = cli.main(["misspec", "--config", cfg, "--checkpoint", ckpt,
                    "--param", "noise_var", "--values", "0.001,0.0015,0.002",
                    "--output", str(out / "noise_sweep")])
     if rc:

@@ -30,30 +30,6 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-def _schedule_spec(cfg: ExperimentConfig) -> ScheduleSpec:
-    s = cfg.schedule
-    return ScheduleSpec(
-        variant=s.variant, b0=s.b0, b1=s.b1, sigma_max=s.sigma_max, eps1=s.eps1, eps2=s.eps2
-    )
-
-
-def _task_spec(cfg: ExperimentConfig) -> tasks.TaskSpec:
-    t = cfg.task
-    return tasks.TaskSpec(
-        task=t.task,
-        image_side=t.image_side,
-        mask_fraction=t.mask_fraction,
-        factor=t.factor,
-        tau=t.tau,
-        sigma1_sq=t.sigma1_sq,
-        latent_dim=t.latent_dim,
-        lambda1_pct=t.lambda1,
-        lambda2_pct=t.lambda2,
-        sigma2_sq=t.sigma2_sq,
-        seed=t.seed,
-    )
-
-
 def _make_dataset(cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
     t = cfg.task
     d = t.d
@@ -125,7 +101,7 @@ def _build_system(cfg: ExperimentConfig):
         y_cal = nsys.apply(calib)
         x_hat = nonlinear.mle_init(nsys, y_cal)
         return nonlinear.linearize(nsys, x_hat, sigma_half=float(np.sqrt(t.noise_var)))
-    return tasks.build_system(_task_spec(cfg))
+    return tasks.build_system(t.spec)
 
 
 def _write_csv(path, header, rows):
@@ -219,7 +195,6 @@ def cmd_train(args) -> int:
     _log(out, f"train start run_id={cfg.run.run_id}")
 
     sys_ = _build_system(cfg)
-    spec = _schedule_spec(cfg)
     data = _make_dataset(cfg, cfg.task.n_train, cfg.task.data_seed)
     tr = cfg.train
     net = dn.init_net(
@@ -230,19 +205,10 @@ def cmd_train(args) -> int:
         time_freqs=tr.time_freqs,
         seed=tr.seed,
     )
-    tcfg = dn.TrainConfig(
-        lr=tr.lr,
-        adam_beta1=tr.adam_beta1,
-        adam_beta2=tr.adam_beta2,
-        batch_size=tr.batch_size,
-        n_epochs=tr.n_epochs,
-        seed=tr.seed,
-        lr_milestones=tr.lr_milestones,
-    )
-    net, losses = dn.train(net, sys_, spec, data, tcfg)
+    net, losses = dn.train(net, sys_, cfg.schedule, data, tr)
 
     ckpt = out / "checkpoint.ckpt"
-    dn.save_checkpoint(ckpt, net, spec, extra={"task": cfg.task.task, "run_id": cfg.run.run_id})
+    dn.save_checkpoint(ckpt, net, cfg.schedule, extra={"task": cfg.task.task, "run_id": cfg.run.run_id})
     _write_csv(
         out / "loss.csv",
         ["epoch", "mean_loss"],
@@ -296,7 +262,7 @@ def cmd_sample(args) -> int:
     _log(out, "sample start")
 
     sys_ = _build_system(cfg)
-    spec = _schedule_spec(cfg)
+    spec = cfg.schedule
 
     if args.oracle_denoiser:
         prior = _gaussian_prior(cfg)
@@ -323,14 +289,7 @@ def cmd_sample(args) -> int:
     else:
         raise ConfigError("sample requires --simulate or --measurements PATH")
 
-    scfg = sampler.SamplerConfig(
-        n_steps=smp.n_steps,
-        spec=spec,
-        noiseless_range_lock=smp.range_lock,
-        seed=smp.seed,
-        keep_every=smp.keep_every,
-        time_grid=smp.time_grid,
-    )
+    scfg = cfg.sampler_config
     n_chains = smp.n_samples if (args.oracle_denoiser and args.simulate) else 1
     if n_chains > 1:
         trace = sampler.sample(sys_, scfg, y[0], denoise, n_chains=n_chains, rng=rng)
@@ -383,9 +342,9 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     name = args.suite
     if name not in verification.SUITES:
-        print(f"unknown suite {name!r}, expected one of {verification.SUITES}", file=_sys.stderr)
+        print(f"unknown suite {name!r}, expected one of {tuple(verification.SUITES)}", file=_sys.stderr)
         return EXIT_USAGE
-    results = verification.run_suite(name)
+    results = verification.SUITES[name]()
     rows = [
         [r.suite, r.check, r.status, _fmt(r.value), _fmt(r.tolerance)] for r in results
     ]
@@ -399,18 +358,6 @@ def cmd_verify(args) -> int:
     for row in rows:
         print(",".join(str(v) for v in row))
     return EXIT_OK if all(r.passed for r in results) else EXIT_RUNTIME
-
-
-def _sweep_perturbation(cfg: ExperimentConfig, param: str, value: float) -> tasks.Perturbation:
-    if param == "lambda1":
-        return tasks.Perturbation(lambda1=value)
-    if param == "tau":
-        return tasks.Perturbation(tau=value)
-    if param == "noise_var":
-        return tasks.Perturbation(noise_var=value)
-    if param == "poisson_i0":
-        return tasks.Perturbation(noise_model="poisson", poisson_i0=value)
-    raise ConfigError(f"unknown sweep parameter {param!r}")
 
 
 def cmd_misspec(args) -> int:
@@ -429,13 +376,18 @@ def cmd_misspec(args) -> int:
 
     if not args.checkpoint:
         raise ConfigError("misspec requires --checkpoint")
-    spec = _schedule_spec(cfg)
+    if values and param not in tasks.SWEEP_PARAMS:
+        raise ConfigError(f"unknown sweep parameter {param!r}, expected one of {tasks.SWEEP_PARAMS}")
+    try:
+        perts = [tasks.Perturbation(**{param: value}) for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"bad {param} value: {exc}") from exc
     train_sys = _build_system(cfg)
-    denoise = _checkpoint_denoiser(args.checkpoint, spec, train_sys.d)
-    task_spec = _task_spec(cfg)
+    denoise = _checkpoint_denoiser(args.checkpoint, cfg.schedule, train_sys.d)
+    task_spec = cfg.task.spec
+    scfg = cfg.sampler_config
     rows, summary = [], []
-    for value in values:
-        pert = _sweep_perturbation(cfg, param, value)
+    for value, pert in zip(values, perts):
         deployed, generate = tasks.perturb_system(task_spec, pert)
         rng = np.random.default_rng(cfg.eval.seed)
         x0 = _make_dataset(cfg, cfg.eval.n_draws, cfg.eval.seed + 1)
@@ -444,13 +396,6 @@ def cmd_misspec(args) -> int:
         # training-time system: the checkpoint never sees the perturbed one
         recon = deployed.apply_pinv(y_deploy)
         y_embedded = train_sys.apply(recon)
-        scfg = sampler.SamplerConfig(
-            n_steps=cfg.sample.n_steps,
-            spec=spec,
-            noiseless_range_lock=cfg.sample.range_lock,
-            seed=cfg.sample.seed,
-            time_grid=cfg.sample.time_grid,
-        )
         samples = np.atleast_2d(sampler.sample(train_sys, scfg, y_embedded, denoise, rng=rng).final)
         psnrs = np.array([tasks.psnr(samples[i], x0[i]) for i in range(len(x0))])
         ssims = [
@@ -515,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mis = sub.add_parser("misspec", help="sweep deployment-time system perturbations")
     common(p_mis)
     p_mis.add_argument("--checkpoint", default=None)
-    p_mis.add_argument("--param", default=None, choices=["lambda1", "tau", "noise_var", "poisson_i0"])
+    p_mis.add_argument("--param", default=None, choices=tasks.SWEEP_PARAMS)
     p_mis.add_argument("--values", default=None, help="comma-separated sweep values")
     return parser
 

@@ -6,21 +6,30 @@ are rejected so that a config snapshot written next to experiment outputs
 is always replayable.  parse -> serialize -> parse is the identity on the
 resolved configuration.
 
-Note: annotations here must stay runtime-evaluated (no deferred annotation
-import); the parser dispatches on the dataclass field types.
+The ``[schedule]`` section is a `ScheduleSpec` and ``[train]`` a
+`TrainConfig`, so their checks run at parse time; so do those of the
+`TaskSpec` of an image task and of the `SamplerConfig`, each built from its
+sections by one mapping below.  Any rejected value is a `ConfigError`.
 """
+
+from __future__ import annotations
 
 import configparser
 import dataclasses
+import typing
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from .denoiser import TrainConfig
 from .errors import ConfigError
+from .sampler import SamplerConfig
+from .schedule import ScheduleSpec
+from .tasks import SWEEP_PARAMS, TASKS, TaskSpec
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
-TASK_CHOICES = ("inpainting", "superres", "ct", "mri", "dense", "contrast")
+TASK_CHOICES = TASKS + ("dense", "contrast")
 DATASET_CHOICES = ("blobs", "field", "gaussian", "mixture", "point")
 
 
@@ -65,30 +74,24 @@ class TaskSection:
     def d(self) -> int:
         return self.signal_dim if self.signal_dim > 0 else self.image_side ** 2
 
-
-@dataclass(frozen=True)
-class ScheduleSection:
-    variant: str = "sb"
-    b0: float = 0.1
-    b1: float = 0.3
-    sigma_max: float = 10.0
-    eps1: float = 1e-3
-    eps2: float = 1e-3
-
-
-@dataclass(frozen=True)
-class TrainSection:
-    lr: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.99
-    batch_size: int = 8
-    n_epochs: int = 100
-    seed: int = 0
-    lr_milestones: Tuple[int, ...] = (36, 60, 72, 90)
-    hidden: Tuple[int, ...] = (64, 64)
-    activation: str = "silu"
-    time_embed: str = "sinusoidal"
-    time_freqs: int = 8
+    @property
+    def spec(self) -> TaskSpec:
+        """The image task's system spec (not for the dense and contrast tasks)."""
+        if self.task not in TASKS:
+            raise ConfigError(f"task {self.task!r} is not one of the image tasks {TASKS}")
+        return TaskSpec(
+            task=self.task,
+            image_side=self.image_side,
+            mask_fraction=self.mask_fraction,
+            factor=self.factor,
+            tau=self.tau,
+            sigma1_sq=self.sigma1_sq,
+            latent_dim=self.latent_dim,
+            lambda1_pct=self.lambda1,
+            lambda2_pct=self.lambda2,
+            sigma2_sq=self.sigma2_sq,
+            seed=self.seed,
+        )
 
 
 @dataclass(frozen=True)
@@ -113,17 +116,29 @@ class EvalSection:
 class ExperimentConfig:
     run: RunSection = field(default_factory=RunSection)
     task: TaskSection = field(default_factory=TaskSection)
-    schedule: ScheduleSection = field(default_factory=ScheduleSection)
-    train: TrainSection = field(default_factory=TrainSection)
+    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
+    train: TrainConfig = field(default_factory=TrainConfig)
     sample: SampleSection = field(default_factory=SampleSection)
     eval: EvalSection = field(default_factory=EvalSection)
+
+    @property
+    def sampler_config(self) -> SamplerConfig:
+        s = self.sample
+        return SamplerConfig(
+            n_steps=s.n_steps,
+            spec=self.schedule,
+            noiseless_range_lock=s.range_lock,
+            seed=s.seed,
+            keep_every=s.keep_every,
+            time_grid=s.time_grid,
+        )
 
 
 _SECTIONS = {
     "run": RunSection,
     "task": TaskSection,
-    "schedule": ScheduleSection,
-    "train": TrainSection,
+    "schedule": ScheduleSpec,
+    "train": TrainConfig,
     "sample": SampleSection,
     "eval": EvalSection,
 }
@@ -166,12 +181,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
         cls = _SECTIONS[section]
-        fields = {f.name: f for f in dataclasses.fields(cls)}
+        types = typing.get_type_hints(cls)
         values = {}
         for key, raw in parser.items(section):
-            if key not in fields:
+            if key not in types:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = _parse_value(key, raw, fields[key].type)
+            values[key] = _parse_value(key, raw, types[key])
         try:
             sections[section] = cls(**values)
         except (ValueError, TypeError) as exc:
@@ -198,12 +213,18 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"unknown dataset {cfg.task.dataset!r}, expected one of {DATASET_CHOICES}"
         )
-    from .sampler import TIME_GRIDS
-
-    if cfg.sample.time_grid not in TIME_GRIDS:
-        raise ConfigError(f"unknown time_grid {cfg.sample.time_grid!r}")
-    if cfg.eval.param not in ("", "lambda1", "tau", "noise_var", "poisson_i0"):
+    if cfg.eval.param not in ("",) + SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {cfg.eval.param!r}")
+    # build the specs the run will build, so that their checks run now
+    try:
+        if cfg.task.task in TASKS:
+            cfg.task.spec
+    except ValueError as exc:
+        raise ConfigError(f"invalid [task] section: {exc}") from exc
+    try:
+        cfg.sampler_config
+    except ValueError as exc:
+        raise ConfigError(f"invalid [sample] section: {exc}") from exc
 
 
 def _format_value(value) -> str:

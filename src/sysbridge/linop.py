@@ -10,7 +10,7 @@ part of one vector with the range part of another in a single `apply` and
 `apply_pinv`; the forward process and the sampler update through it.
 
 All downstream math consumes operators through closures (`apply`,
-`apply_transpose`, `apply_pinv`, `noise_scale`) so structured systems never
+`apply_pinv`, `noise_scale`) so structured systems never
 materialize dense matrices in the hot path.  Dense matrices appear only at
 construction time (for the SVD) and in test oracles.  Every closure is
 vectorized over leading axes: inputs of shape (..., d) map to (..., m) and
@@ -42,9 +42,9 @@ class LinearSystem:
     ----------
     m, d:
         Measurement and signal dimensions.
-    apply, apply_transpose, apply_pinv:
-        Actions of A, A^T and A+.  Vectorized over leading axes; each
-        returns a new array.
+    apply, apply_pinv:
+        Actions of A and A+.  Vectorized over leading axes; each returns a
+        new array.
     noise_scale:
         Action of the covariance square root S on a measurement-space
         vector; the zero function when the system is noiseless.
@@ -62,7 +62,6 @@ class LinearSystem:
     m: int
     d: int
     apply: Callable[[np.ndarray], np.ndarray]
-    apply_transpose: Callable[[np.ndarray], np.ndarray]
     apply_pinv: Callable[[np.ndarray], np.ndarray]
     noise_scale: Callable[[np.ndarray], np.ndarray]
     kind: str
@@ -207,9 +206,6 @@ def build_dense_system(
     def apply(x):
         return _check_last_axis(x, d, "apply") @ a.T
 
-    def apply_transpose(y):
-        return _check_last_axis(y, m, "apply_transpose") @ a
-
     def apply_pinv(y):
         return _check_last_axis(y, m, "apply_pinv") @ a_pinv.T
 
@@ -217,7 +213,6 @@ def build_dense_system(
         m=m,
         d=d,
         apply=apply,
-        apply_transpose=apply_transpose,
         apply_pinv=apply_pinv,
         noise_scale=make_noise_scale(sigma_half, m),
         kind=kind,
@@ -279,14 +274,10 @@ def whiten(sys: LinearSystem) -> LinearSystem:
     if s < 0:
         raise InvalidCovarianceError(f"negative scalar noise scale {s}")
     inner_apply = sys.apply
-    inner_transpose = sys.apply_transpose
     inner_pinv = sys.apply_pinv
 
     def apply(x):
         return inner_apply(x) / s
-
-    def apply_transpose(y):
-        return inner_transpose(y) / s
 
     def apply_pinv(y):
         return s * inner_pinv(y)
@@ -295,7 +286,6 @@ def whiten(sys: LinearSystem) -> LinearSystem:
         m=sys.m,
         d=sys.d,
         apply=apply,
-        apply_transpose=apply_transpose,
         apply_pinv=apply_pinv,
         noise_scale=make_noise_scale(1.0, sys.m),
         kind=sys.kind,

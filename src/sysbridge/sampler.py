@@ -68,6 +68,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.keep_every < 0:
+            raise ValueError("keep_every must be >= 0")
         if self.time_grid not in TIME_GRIDS:
             raise ValueError(f"unknown time grid {self.time_grid!r}, expected {TIME_GRIDS}")
 

@@ -28,7 +28,7 @@ VARIANTS = ("sb", "vp", "ve")
 
 @dataclass(frozen=True)
 class ScheduleSpec:
-    variant: str
+    variant: str = "sb"
     b0: float = 0.1
     b1: float = 0.3
     sigma_max: float = 10.0

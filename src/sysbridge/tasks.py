@@ -102,7 +102,6 @@ def _inpainting_system(spec: TaskSpec) -> LinearSystem:
         m=d,
         d=d,
         apply=apply,
-        apply_transpose=apply,
         apply_pinv=apply,
         noise_scale=make_noise_scale(0.0, d),
         kind="mask",
@@ -125,20 +124,19 @@ def _superres_system(spec: TaskSpec) -> LinearSystem:
         img = x.reshape(lead + (low, k, low, k))
         return img.mean(axis=(-3, -1)).reshape(lead + (m,))
 
-    def replicate(y, scale):
+    def replicate(y):
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1] != m:
-            raise DimensionError(f"expected last axis {m}, got {y.shape}")
+            raise DimensionError(f"apply_pinv: expected last axis {m}, got {y.shape}")
         lead = y.shape[:-1]
         img = y.reshape(lead + (low, 1, low, 1)) * np.ones((1, k, 1, k))
-        return scale * img.reshape(lead + (d,))
+        return img.reshape(lead + (d,))
 
     return LinearSystem(
         m=m,
         d=d,
         apply=pool,
-        apply_transpose=lambda y: replicate(y, 1.0 / (k * k)),
-        apply_pinv=lambda y: replicate(y, 1.0),
+        apply_pinv=replicate,
         noise_scale=make_noise_scale(0.0, m),
         kind="avgpool",
         sigma_half=0.0,
@@ -167,12 +165,6 @@ def _ct_system(spec: TaskSpec) -> LinearSystem:
             raise DimensionError(f"apply: expected last axis {d}, got {x.shape}")
         return ((x @ v) * s) @ u.T
 
-    def apply_transpose(y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1] != d:
-            raise DimensionError(f"apply_transpose: expected last axis {d}, got {y.shape}")
-        return ((y @ u) * s) @ v.T
-
     def apply_pinv(y):
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1] != d:
@@ -184,7 +176,6 @@ def _ct_system(spec: TaskSpec) -> LinearSystem:
         m=d,
         d=d,
         apply=apply,
-        apply_transpose=apply_transpose,
         apply_pinv=apply_pinv,
         noise_scale=make_noise_scale(sigma_half, d),
         kind="truncated_svd",
@@ -254,10 +245,11 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
             raise DimensionError(f"apply: expected last axis {side * side}, got {x.shape}")
         return x @ a.T
 
-    def apply_transpose(y):
+    def apply_pinv(y):
+        # orthonormal rows: A+ = A^T
         y = np.asarray(y, dtype=np.float64)
         if y.shape[-1] != m:
-            raise DimensionError(f"apply_transpose: expected last axis {m}, got {y.shape}")
+            raise DimensionError(f"apply_pinv: expected last axis {m}, got {y.shape}")
         return y @ a
 
     sigma_half = math.sqrt(sigma_sq)
@@ -265,8 +257,7 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
         m=m,
         d=side * side,
         apply=apply,
-        apply_transpose=apply_transpose,
-        apply_pinv=apply_transpose,  # orthonormal rows
+        apply_pinv=apply_pinv,
         noise_scale=make_noise_scale(sigma_half, m),
         kind="fourier_mask",
         sigma_half=sigma_half,
@@ -276,18 +267,19 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Deployment-time parameter shifts for the misspecification protocol."""
+    """Deployment-time parameter shifts for the misspecification protocol.
+
+    Each field is one sweep parameter; a set ``poisson_i0`` (photon count
+    at zero attenuation) switches the generator to Poisson noise.
+    """
 
     lambda1: Optional[float] = None
     tau: Optional[float] = None
     noise_var: Optional[float] = None
-    noise_model: str = "gaussian"
     poisson_i0: Optional[float] = None
 
     def __post_init__(self):
-        if self.noise_model not in ("gaussian", "poisson"):
-            raise ValueError(f"unknown noise model {self.noise_model!r}")
-        if self.noise_model == "poisson" and (self.poisson_i0 is None or self.poisson_i0 <= 0):
+        if self.poisson_i0 is not None and self.poisson_i0 <= 0:
             raise ValueError("poisson noise requires intensity > 0")
 
     def label(self) -> str:
@@ -298,7 +290,7 @@ class Perturbation:
             parts.append(f"tau={self.tau:g}")
         if self.noise_var is not None:
             parts.append(f"noise_var={self.noise_var:g}")
-        if self.noise_model == "poisson":
+        if self.poisson_i0 is not None:
             parts.append(f"poisson_i0={self.poisson_i0:g}")
         return ";".join(parts) if parts else "none"
 
@@ -328,7 +320,7 @@ def perturb_system(spec: TaskSpec, pert: Perturbation):
 
     deployed = build_system(deploy_spec)
 
-    if pert.noise_model == "poisson":
+    if pert.poisson_i0 is not None:
         intensity = float(pert.poisson_i0)
 
         def generate(x0, rng):
@@ -344,6 +336,9 @@ def perturb_system(spec: TaskSpec, pert: Perturbation):
             return clean + deployed.noise_scale(eps)
 
     return deployed, generate
+
+
+SWEEP_PARAMS = tuple(f.name for f in dataclasses.fields(Perturbation))
 
 
 # ---------------------------------------------------------------------------

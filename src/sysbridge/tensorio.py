@@ -18,6 +18,7 @@ from .errors import DimensionError
 
 MAGIC = b"SDBT"
 _MAX_RANK = 32
+_CHUNK = 1 << 24  # largest single read: a short stream fails before more is held
 
 
 def write_tensor(fh, array) -> None:
@@ -31,10 +32,14 @@ def write_tensor(fh, array) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise DimensionError("truncated tensor record")
-    return data
+    chunks = []
+    while n > 0:
+        data = fh.read(min(n, _CHUNK))
+        if not data:
+            raise DimensionError("truncated tensor record")
+        chunks.append(data)
+        n -= len(data)
+    return b"".join(chunks)
 
 
 def _bytes_left(fh):
@@ -52,7 +57,8 @@ def read_tensor(fh, shape=None) -> np.ndarray:
 
     With ``shape`` given, a record of any other shape is refused before its
     payload is read.  On a seekable stream, so is a record claiming more
-    payload than the stream holds.
+    payload than the stream holds; on any other, the payload is read in
+    bounded chunks, so a short stream fails having held no more than it had.
     """
     magic = _read_exact(fh, 4)
     if magic != MAGIC:

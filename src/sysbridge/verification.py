@@ -1,9 +1,9 @@
 """Named verification suites with fixed seeds.
 
 Each suite returns CheckResult rows (suite, check, value, tolerance,
-status).  The command-line ``verify`` subcommand prints them as CSV and the
-acceptance tests assert on them, so the checked quantities and tolerances
-live in exactly one place.
+status); `SUITES` maps each suite name to its function.  The command-line
+``verify`` subcommand prints them as CSV and the acceptance tests assert on
+them, so the checked quantities and tolerances live in exactly one place.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import numpy as np
 
 from . import denoiser as dn
 from . import forward, linop, oracle, sampler, schedule, tasks
-
-SUITES = ("penrose", "marginals", "g2", "posterior", "gradients", "otode")
 
 
 @dataclass
@@ -229,17 +227,11 @@ def suite_otode(n_steps: int = 500) -> List[CheckResult]:
     return [CheckResult("otode", "null_path_deviation", worst, 0.01)]
 
 
-def run_suite(name: str) -> List[CheckResult]:
-    if name == "penrose":
-        return suite_penrose()
-    if name == "marginals":
-        return suite_marginals()
-    if name == "g2":
-        return suite_g2()
-    if name == "posterior":
-        return suite_posterior()
-    if name == "gradients":
-        return suite_gradients()
-    if name == "otode":
-        return suite_otode()
-    raise ValueError(f"unknown suite {name!r}, expected one of {SUITES}")
+SUITES = {
+    "penrose": suite_penrose,
+    "marginals": suite_marginals,
+    "g2": suite_g2,
+    "posterior": suite_posterior,
+    "gradients": suite_gradients,
+    "otode": suite_otode,
+}

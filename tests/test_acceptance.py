@@ -7,6 +7,7 @@ minutes each and are kept within their stated runtime budgets.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,44 +182,7 @@ def test_criterion_09_noiseless_data_consistency():
     )
 
 
-MISSPEC_INI = """
-[run]
-run_id = acceptance-misspec
-output_dir = {out}
-
-[task]
-task = mri
-image_side = 16
-lambda1 = 16
-lambda2 = 30
-sigma2_sq = 0.001
-seed = 4
-dataset = field
-field_scale = 3.0
-field_amp = 0.1
-n_train = 4096
-data_seed = 21
-
-[schedule]
-variant = sb
-
-[train]
-lr = 0.001
-batch_size = 8
-n_epochs = 100
-lr_milestones = 40,65,85
-hidden = 256
-seed = 2
-
-[sample]
-n_steps = 100
-
-[eval]
-param = lambda1
-values = 16,14,12,10
-n_draws = 200
-seed = 77
-"""
+MISSPEC_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "misspec_mri.ini"
 
 
 def _read_summary(path):
@@ -233,9 +197,8 @@ def _read_summary(path):
 def test_criterion_10_misspecification_protocol(tmp_path):
     t0 = time.time()
     out = tmp_path / "mis"
-    cfg = tmp_path / "mis.ini"
-    cfg.write_text(MISSPEC_INI.format(out=out), encoding="utf-8")
-    assert cli.main(["train", "--config", str(cfg)]) == 0
+    cfg = MISSPEC_CONFIG
+    assert cli.main(["train", "--config", str(cfg), "--output", str(out)]) == 0
     ckpt = str(out / "checkpoint.ckpt")
 
     lam_dir = tmp_path / "lam"

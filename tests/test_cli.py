@@ -1,14 +1,16 @@
 """Command-line orchestration: exit codes, artifacts, reproducibility."""
 
+import configparser
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sysbridge import cli, tensorio
 from sysbridge import denoiser as dn
-from sysbridge.config import parse_config
+from sysbridge.config import parse_config, parse_config_text
 
 MEMORIZE_INI = """
 [run]
@@ -91,6 +93,56 @@ class TestConfigErrors:
 
     def test_missing_config_exit_2(self):
         assert cli.main(["train"]) == 2
+
+
+def _override(text, section, **keys):
+    """The config text with ``keys`` set in ``section``."""
+    parser = configparser.ConfigParser()
+    parser.read_string(text)
+    if not parser.has_section(section):
+        parser.add_section(section)
+    for key, value in keys.items():
+        parser.set(section, key, str(value))
+    buf = io.StringIO()
+    parser.write(buf)
+    return buf.getvalue()
+
+
+# (command, base config, section, keys): each value is out of range
+OUT_OF_RANGE = {
+    "variant": ("train", MEMORIZE_INI, "schedule", {"variant": "foo"}),
+    "b0": ("train", MEMORIZE_INI, "schedule", {"b0": -1}),
+    "eps1": ("train", MEMORIZE_INI, "schedule", {"eps1": 0.7}),
+    "lr": ("train", MEMORIZE_INI, "train", {"lr": -1}),
+    "activation": ("train", MEMORIZE_INI, "train", {"activation": "gelu"}),
+    "time_embed": ("train", MEMORIZE_INI, "train", {"time_embed": "foo"}),
+    "time_freqs": ("train", MEMORIZE_INI, "train", {"time_embed": "sinusoidal", "time_freqs": -1}),
+    "hidden": ("train", MEMORIZE_INI, "train", {"hidden": "8,0"}),
+    "batch_size": ("train", MEMORIZE_INI, "train", {"batch_size": 0}),
+    "mask_fraction": ("train", MEMORIZE_INI, "task", {"mask_fraction": 2}),
+    "superres_factor": ("train", MEMORIZE_INI, "task", {"task": "superres", "image_side": 6, "factor": 4}),
+    "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
+    "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_exit_2_with_one_line(tmp_path, capsys, case):
+    command, base, section, keys = OUT_OF_RANGE[case]
+    cfg, _ = write_config(tmp_path, _override(base, section, **keys))
+    extra = ["--oracle-denoiser", "--simulate"] if command == "sample" else []
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(cfg), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+def test_readme_config_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = parse_config_text(example)
+    assert cfg.task.task == "mri" and cfg.eval.param == "lambda1"
 
 
 class TestTrain:
@@ -241,7 +293,7 @@ class TestBrokenCheckpoint:
     @pytest.fixture()
     def checkpoint(self, tmp_path):
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
-        spec = cli._schedule_spec(parse_config(cfg))
+        spec = parse_config(cfg).schedule
         net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
         path = tmp_path / "good.ckpt"
         dn.save_checkpoint(path, net, spec)
@@ -273,7 +325,7 @@ class TestBrokenCheckpoint:
     def test_signal_width_other_than_the_system_exit_2(self, checkpoint, tmp_path):
         cfg, _ = checkpoint
         other = tmp_path / "other.ckpt"
-        spec = cli._schedule_spec(parse_config(cfg))
+        spec = parse_config(cfg).schedule
         dn.save_checkpoint(other, dn.init_net(9, hidden=(8,), time_embed="append_scalar"), spec)
         assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(other), "--simulate",
                          "--output", str(tmp_path / "run")]) == 2
@@ -300,7 +352,7 @@ class TestBrokenMeasurements:
     @pytest.mark.parametrize("fault", sorted(BROKEN_MEASUREMENTS))
     def test_exit_2_with_one_line(self, tmp_path, capsys, fault):
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
-        spec = cli._schedule_spec(parse_config(cfg))
+        spec = parse_config(cfg).schedule
         ckpt = tmp_path / "net.ckpt"
         dn.save_checkpoint(ckpt, dn.init_net(16, hidden=(8,), time_embed="append_scalar"), spec)
         ypath = tmp_path / "y.sdbt"

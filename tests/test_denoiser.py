@@ -155,6 +155,29 @@ class TestFlatLayout:
             net.flat, np.concatenate([p.ravel() for p in net.parameters()])
         )
 
+    def test_parameter_vector_starts_on_64_bytes(self, tmp_path):
+        net = dn.init_net(5, hidden=(12, 7), seed=9)
+        path = tmp_path / "net.ckpt"
+        dn.save_checkpoint(path, net, schedule.ScheduleSpec())
+        copied = dn.DenoiserNet([4, 3, 3], [np.ones((4, 3)), np.ones((3, 3))],
+                                [np.zeros(3), np.zeros(3)], time_embed="append_scalar")
+        for n in (net, dn.load_checkpoint(path)[0], copied):
+            assert n.flat.ctypes.data % 64 == 0
+
+    def test_forward_bytes_independent_of_weight_alignment(self):
+        net = dn.init_net(16, hidden=(32,), seed=3)
+        x = np.random.default_rng(4).standard_normal((5, 16))
+        expected = dn.forward_denoise(net, x, 0.3).tobytes()
+        for shift in (1, 2, 3):
+            buf = np.zeros(net.flat.size + 8)
+            start = ((-buf.ctypes.data % 64) // 8 + shift) % 8  # shift * 8 bytes past 64
+            moved = dn.param_views(buf[start : start + net.flat.size], net.layer_dims)
+            for dst, src in zip(moved, net.parameters()):
+                dst[...] = src
+            other = dn.DenoiserNet(net.layer_dims, moved[0::2], moved[1::2])
+            assert other.flat.ctypes.data % 64 != 0  # adopted where it lies
+            assert dn.forward_denoise(other, x, 0.3).tobytes() == expected
+
     def test_writes_through_views_reach_the_vector(self):
         net = dn.init_net(3, hidden=(4,), seed=0)
         net.weights[1][:] = 7.0
@@ -388,6 +411,29 @@ class TestCheckpoint:
         path.write_bytes(blob.replace(b"layer_dims=19,8,3", b"layer_dims=19,9,3"))
         with pytest.raises(DimensionError, match="shape"):
             dn.load_checkpoint(path)
+
+    @pytest.mark.parametrize("spec, digest", [
+        (schedule.ScheduleSpec("sb"),
+         "c6d8b1a5646eeced31fe9dd82f4335dcc8e963c70e3ac3ac6ab9fe6b1cbafec9"),
+        (schedule.ScheduleSpec("vp", eps2=1e-6),
+         "1a5644fa75f90f83a461f293c06c84c51e17c1c44c2ef2afaa0ad8f646cd5539"),
+        (schedule.ScheduleSpec("ve", sigma_max=50),
+         "46a9da953f644f47e53908bd5b826bcda3dff4bc29f64ee67ee1892c386d7f07"),
+        (schedule.ScheduleSpec("sb", b0=1),
+         "99d564f7fe1c5d88d8b1e3187517572bedb00ebbfa57208b794f4a3153a30347"),
+    ])
+    def test_schedule_hash_pinned(self, spec, digest):
+        # existing checkpoints carry these digests; sample refuses any other
+        assert dn.schedule_hash(spec) == digest
+
+    def test_preamble_reproduces_schedule_hash(self, tmp_path):
+        net = dn.init_net(3, hidden=(4,), seed=0)
+        for spec in (schedule.ScheduleSpec("vp", eps2=1e-6), schedule.ScheduleSpec("ve", sigma_max=50.0)):
+            path = tmp_path / "net.ckpt"
+            dn.save_checkpoint(path, net, spec)
+            _, loaded, header = dn.load_checkpoint(path)
+            assert loaded == spec
+            assert header["schedule_hash"] == dn.schedule_hash(loaded)
 
     def test_schedule_hash_sensitivity(self):
         s1 = schedule.ScheduleSpec("sb", b0=0.1)

@@ -101,6 +101,31 @@ def test_oversized_claim_refused_before_reading():
     assert fh.asked == 16  # magic, rank and shape only
 
 
+class _Pipe(io.BytesIO):
+    """A stream that cannot seek, like a pipe; records the sizes asked for."""
+
+    def seekable(self):
+        return False
+
+    def read(self, n=-1):
+        self.largest = max(getattr(self, "largest", 0), n)
+        return super().read(n)
+
+
+def test_oversized_claim_on_unseekable_stream_reads_in_bounded_chunks():
+    fh = _Pipe(_oversized_record())
+    with pytest.raises(DimensionError, match="truncated"):
+        tensorio.read_tensor(fh)
+    assert fh.largest <= 1 << 24
+
+
+def test_unseekable_stream_roundtrip():
+    arr = np.random.default_rng(3).standard_normal((5, 7))
+    fh = _Pipe(_record_bytes(arr) + _record_bytes(arr[:2]))
+    np.testing.assert_array_equal(tensorio.read_tensor(fh), arr)
+    np.testing.assert_array_equal(tensorio.read_tensor(fh, (2, 7)), arr[:2])
+
+
 # each is the content of a bad tensor file (None: no file)
 BAD_TENSOR_FILES = {
     "missing_file": None,
