@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Alternating parent/change runs of perfbench; writes BENCH_<workload>.json.
+
+    python3 scripts/bench_pairs.py --workload sample-mri --seed 501 --parent HEAD
+
+The parent revision is checked out into a temporary git worktree under
+``.bench_build/`` and removed afterwards; the change is this checkout's
+working tree.  There are 10 pairs of 30 s runs, the benchmark's run
+length.  Pair i runs ``perfbench/run.py --seed <seed + i>`` once on each
+side, the parent first on even pairs and the change first on odd ones, one
+run at a time.  The output keeps every run's result line and its
+``{"perfbench": ...}`` record (machine, BLAS, commit, output digest), the
+median and quartiles of each end-to-end metric per side, and in how many
+pairs the change was lower.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
+SECONDS = 30.0
+
+
+def git(*args, cwd=ROOT) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
+    """One untraced perfbench run: its perfbench record and its result line."""
+    proc = subprocess.run(
+        [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+         "--seed", str(seed), "--seconds", str(SECONDS), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"perfbench failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
+    return {"perfbench": json.loads(lines[-2])["perfbench"], "result": json.loads(lines[-1])}
+
+
+def summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def side_summary(runs):
+    metrics = runs[0]["result"]["metrics"]
+    return {
+        name: {"unit": metrics[name]["unit"],
+               **summary([r["result"]["metrics"][name]["value"] for r in runs])}
+        for name in metrics
+    }
+
+
+def compare(parent_runs, change_runs):
+    """Per metric: pairs where the change is lower, and the median move."""
+    parent, change = side_summary(parent_runs), side_summary(change_runs)
+    out = {}
+    for name in parent:
+        pairs = [
+            (p["result"]["metrics"][name]["value"], c["result"]["metrics"][name]["value"])
+            for p, c in zip(parent_runs, change_runs)
+        ]
+        base = parent[name]["median"]
+        out[name] = {
+            "change_lower_pairs": sum(c < p for p, c in pairs),
+            "pairs": len(pairs),
+            "median_rel_change": (change[name]["median"] - base) / base if base else None,
+            "median_drop_over_parent_iqr": (
+                (base - change[name]["median"]) / parent[name]["iqr"] if parent[name]["iqr"] else None
+            ),
+        }
+    return parent, change, out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
+    ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
+    ap.add_argument("--output", default=None, help="default: BENCH_<workload>.json in the checkout")
+    args = ap.parse_args(argv)
+
+    parent_rev = git("rev-parse", args.parent)
+    scratch = ROOT / ".bench_build"
+    scratch.mkdir(exist_ok=True)
+    tree = Path(tempfile.mkdtemp(prefix="parent-", dir=scratch))
+    git("worktree", "add", "--detach", str(tree), parent_rev)
+    runs = {"parent": [], "change": []}
+    try:
+        for i in range(PAIRS):
+            seed = args.seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                checkout = tree if side == "parent" else ROOT
+                run = run_perfbench(checkout, args.workload, seed)
+                runs[side].append({"pair": i, "seed": seed, "order": order.index(side), **run})
+                value = run["result"]["metrics"]["time_vs_control"]["value"]
+                print(f"pair {i} seed {seed} {side}: time_vs_control {value:.4f}", file=sys.stderr)
+    finally:
+        git("worktree", "remove", "--force", str(tree))
+        shutil.rmtree(tree, ignore_errors=True)
+
+    parent, change, pairs = compare(runs["parent"], runs["change"])
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    record = {
+        "workload": args.workload,
+        "seconds": SECONDS,
+        "pairs": PAIRS,
+        "seeds": [args.seed + i for i in range(PAIRS)],
+        "parent": {"rev": parent_rev, "summary": parent, "runs": runs["parent"]},
+        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": dirty,
+                   "summary": change, "runs": runs["change"]},
+        "comparison": pairs,
+    }
+    out = Path(args.output) if args.output else ROOT / f"BENCH_{args.workload}.json"
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    for name, cmp in pairs.items():
+        print(f"{name}: parent {parent[name]['median']:.4g} change {change[name]['median']:.4g} "
+              f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}")
+    print(f"written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -370,7 +370,10 @@ def cmd_misspec(args) -> int:
 
     param = args.param if args.param else cfg.eval.param
     if args.values:
-        values = tuple(float(v) for v in args.values.split(","))
+        try:
+            values = tuple(float(v) for v in args.values.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
     else:
         values = cfg.eval.values
 
@@ -378,17 +381,19 @@ def cmd_misspec(args) -> int:
         raise ConfigError("misspec requires --checkpoint")
     if values and param not in tasks.SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}, expected one of {tasks.SWEEP_PARAMS}")
+    task_spec = cfg.task.spec
     try:
-        perts = [tasks.Perturbation(**{param: value}) for value in values]
+        deployments = [
+            tasks.perturb_system(task_spec, tasks.Perturbation(**{param: value}))
+            for value in values
+        ]
     except ValueError as exc:
-        raise ConfigError(f"bad {param} value: {exc}") from exc
+        raise ConfigError(f"bad {param} sweep: {exc}") from exc
     train_sys = _build_system(cfg)
     denoise = _checkpoint_denoiser(args.checkpoint, cfg.schedule, train_sys.d)
-    task_spec = cfg.task.spec
     scfg = cfg.sampler_config
     rows, summary = [], []
-    for value, pert in zip(values, perts):
-        deployed, generate = tasks.perturb_system(task_spec, pert)
+    for value, (deployed, generate) in zip(values, deployments):
         rng = np.random.default_rng(cfg.eval.seed)
         x0 = _make_dataset(cfg, cfg.eval.n_draws, cfg.eval.seed + 1)
         y_deploy = generate(x0, rng)

@@ -23,6 +23,18 @@ Both the one-shot draw and each simulator step are one range/null split,
     SDE step:        with_range(x + dt L x + sqrt(dt) gnull eps', x,
                                 sqrt(dt dgamma/dt) S eps),   L = dlog(alpha)/dt
 
+On a partial isometry with scalar noise s I (`LinearSystem.range_noise_gain`
+is set) the measurement-space draw eps is not taken: the range noise is the
+range part of the same eps', which is independent of its null part and has
+the same law (see `linop`).  The range argument then carries it:
+
+    forward_sample:  with_range(alpha x0 + sqrt(beta) eps',
+                                x0 + sqrt(gamma) s sqrt(kappa) eps')
+    SDE step:        with_range(x + dt L x + sqrt(dt) gnull eps',
+                                x + sqrt(dt dgamma/dt) s sqrt(kappa) eps')
+
+A noiseless system draws eps' only.
+
 The tests keep the same SDE spelled out as separate operator actions and
 check the fused step against it.
 """
@@ -53,19 +65,18 @@ def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> Proces
 
     Noise order is fixed for reproducibility: the measurement-space draw
     eps (range noise) comes first, then the signal-space draw eps' (null
-    noise).  Leading axes of x0 are treated as a batch.
+    noise).  Noiseless systems and partial isometries with scalar noise
+    take eps' only; the latter draw their range noise from it (module
+    docstring).  `linop.update_noise` makes the draws.  Leading axes of x0
+    are treated as a batch.
     """
     x0 = np.asarray(x0, dtype=np.float64)
-    eps = rng.standard_normal(x0.shape[:-1] + (sys.m,))
-    v = rng.standard_normal(x0.shape)
+    v, range_add, range_noise = linop.update_noise(sys, rng, x0.shape, np.sqrt(coeffs.gamma))
+    r = x0 if range_add is None else np.add(range_add, x0, out=range_add)
     v *= np.sqrt(coeffs.beta)
     v += coeffs.alpha * x0
-    range_noise = None
-    if not sys.noise_is_zero:
-        eps *= np.sqrt(coeffs.gamma)
-        range_noise = sys.noise_scale(eps)
     # the range part of x0, alpha times its null part, null noise, range noise
-    x_t = linop.with_range(sys, v, x0, range_noise)
+    x_t = linop.with_range(sys, v, r, range_noise)
     return ProcessState(x=x_t, t=coeffs.t)
 
 
@@ -147,21 +158,17 @@ def simulate_forward_sde(
     remaining = sorted(checkpoint_times) if checkpoint_times else []
     recorded = {}
     root_dt = np.sqrt(dt)
-    noisy = not sys.noise_is_zero
     for k in range(n_steps):
         t = t0 + k * dt
         coeffs = evaluate(spec, t)
         gnull, root_dgamma = _diffusion_roots(coeffs)
-        eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
-        range_noise = None
-        if noisy:
-            eps *= root_dt * root_dgamma
-            range_noise = sys.noise_scale(eps)
-        # x + dt L x + sqrt(dt) gnull eps_null, then its range part reset to x's
-        v = rng.standard_normal(x.shape)
+        # x + dt L x + sqrt(dt) gnull eps_null, then its range part reset to
+        # x's (plus the range noise when it comes from eps_null)
+        v, range_add, range_noise = linop.update_noise(sys, rng, x.shape, root_dt * root_dgamma)
+        r = x if range_add is None else np.add(range_add, x, out=range_add)
         v *= root_dt * gnull
         v += (1.0 + dt * coeffs.dlog_alpha_dt) * x
-        x = linop.with_range(sys, v, x, range_noise)
+        x = linop.with_range(sys, v, r, range_noise)
         if not np.all(np.isfinite(x)):
             raise DivergenceError(
                 f"forward SDE diverged at step {k} (t={t:.6f})", step=k, t=t

@@ -9,6 +9,18 @@ component A+ A x, which survives measurement, and the null component
 part of one vector with the range part of another in a single `apply` and
 `apply_pinv`; the forward process and the sampler update through it.
 
+A system is a partial isometry when all its nonzero singular values equal
+one s; then A+ A+^T = kappa A+ A with kappa = 1 / s^2 (masks: 1, orthonormal
+Fourier rows: 1, k x k block means: k^2).  With scalar noise S = s I as well,
+the range noise A+ S e has the law of s sqrt(kappa) A+ A z for a standard
+normal z in signal space, and the range and null parts of one z are
+independent.  Such systems carry `kappa`, and the forward process and the
+sampler then take their range noise from the range part of the null-noise
+draw z: one d-wide Gaussian draw per update instead of a d-wide and an
+m-wide one.  Every other system (matrix noise, a decaying spectrum as in
+truncated_svd) draws e in measurement space.  `update_noise` holds this
+rule and the draw order for all three callers.
+
 All downstream math consumes operators through closures (`apply`,
 `apply_pinv`, `noise_scale`) so structured systems never
 materialize dense matrices in the hot path.  Dense matrices appear only at
@@ -20,7 +32,7 @@ vice versa.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -57,6 +69,10 @@ class LinearSystem:
     meta:
         Construction details (stored spectrum, masks, seeds) for
         diagnostics; never consumed by the core math.
+    kappa:
+        The kappa with A+ A+^T = kappa A+ A when every nonzero singular
+        value of A is equal (1 / s^2 for the common value s), else None.
+        Dense systems under matrix noise, which never use it, carry None.
     """
 
     m: int
@@ -67,12 +83,22 @@ class LinearSystem:
     kind: str
     sigma_half: SigmaHalf = 0.0
     meta: dict = field(default_factory=dict, compare=False)
+    kappa: Optional[float] = None
 
     @property
     def noise_is_zero(self) -> bool:
         if isinstance(self.sigma_half, np.ndarray):
             return not np.any(self.sigma_half)
         return float(self.sigma_half) == 0.0
+
+    @property
+    def range_noise_gain(self) -> Optional[float]:
+        """s sqrt(kappa) when the range noise A+ S e is drawn as
+        s sqrt(kappa) A+ A z from the signal-space draw z (a partial isometry
+        with noise s I, s != 0); None when e is drawn in measurement space."""
+        if self.kappa is None or isinstance(self.sigma_half, np.ndarray) or self.noise_is_zero:
+            return None
+        return float(self.sigma_half) * float(np.sqrt(self.kappa))
 
 
 def _check_last_axis(x, n, what):
@@ -82,14 +108,8 @@ def _check_last_axis(x, n, what):
     return x
 
 
-def pseudoinverse(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below ``cutoff * sigma_max`` are treated as zero;
-    the remaining ones are reciprocated.  The all-zero matrix maps to the
-    all-zero pseudoinverse.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+def _pinv_and_spectrum(a: np.ndarray, cutoff: float):
+    """(A+, singular values of A, largest first) from one SVD."""
     if not np.all(np.isfinite(a)):
         raise DimensionError("pseudoinverse: non-finite entries")
     if cutoff < 0:
@@ -101,9 +121,31 @@ def pseudoinverse(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
             f"SVD failed to converge for {a.shape[0]}x{a.shape[1]} matrix"
         ) from exc
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0]))
+        return np.zeros((a.shape[1], a.shape[0])), s
     inv = np.where(s > cutoff * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T
+    return (vt.T * inv) @ u.T, s
+
+
+def pseudoinverse(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
+    """Moore-Penrose pseudoinverse via SVD.
+
+    Singular values at or below ``cutoff * sigma_max`` are treated as zero;
+    the remaining ones are reciprocated.  The all-zero matrix maps to the
+    all-zero pseudoinverse.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    return _pinv_and_spectrum(a, cutoff)[0]
+
+
+def _partial_isometry_kappa(s: np.ndarray, cutoff: float) -> Optional[float]:
+    """1 / s^2 when the singular values the pseudoinverse keeps agree to
+    1e-12 relative and there is at least one; None otherwise."""
+    if s.size == 0 or s[0] == 0.0:
+        return None
+    kept = s[s > cutoff * s[0]]
+    if kept.size == 0 or kept[0] - kept[-1] > 1e-12 * kept[0]:
+        return None
+    return float(1.0 / (kept[0] * kept[0]))
 
 
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict:
@@ -150,6 +192,30 @@ def with_range(sys: LinearSystem, v: np.ndarray, r, s=None) -> np.ndarray:
     return out
 
 
+def update_noise(sys: LinearSystem, rng, shape, range_scale=None):
+    """The Gaussian draws of one range/null update, in their fixed order.
+
+    Returns (v, range_add, range_noise): v is the signal-space standard
+    normal of the given shape, which the caller scales into null noise.
+    With ``range_scale`` None the update has no range noise and both other
+    entries are None.  Otherwise a system with `range_noise_gain` set takes
+    its range noise from v: range_add = gain range_scale v goes into the
+    range argument r of `with_range`, and range_noise is None.  Any other
+    noisy system first draws eps in measurement space and returns
+    range_noise = S (range_scale eps) for the s argument, range_add None.
+    """
+    if range_scale is None or sys.noise_is_zero:
+        return rng.standard_normal(shape), None, None
+    gain = sys.range_noise_gain
+    if gain is not None:
+        v = rng.standard_normal(shape)
+        return v, v * (gain * range_scale), None
+    eps = rng.standard_normal(tuple(shape[:-1]) + (sys.m,))
+    eps *= range_scale
+    range_noise = sys.noise_scale(eps)
+    return rng.standard_normal(shape), None, range_noise
+
+
 def pseudoinverse_reconstruction(sys: LinearSystem, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares signal estimate A+ y."""
     y = _check_last_axis(y, sys.m, "pseudoinverse_reconstruction")
@@ -193,7 +259,8 @@ def build_dense_system(
 ) -> LinearSystem:
     """Back every LinearSystem closure with dense multiplies.
 
-    The pseudoinverse is computed once at construction via SVD.
+    The pseudoinverse is computed once at construction via SVD; the same
+    singular values decide `kappa` (set for scalar noise only).
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, d = a.shape
@@ -201,7 +268,10 @@ def build_dense_system(
         raise DimensionError(
             f"build_dense_system: sigma_half shape {sigma_half.shape} != ({m}, {m})"
         )
-    a_pinv = pseudoinverse(a, cutoff)
+    a_pinv, s = _pinv_and_spectrum(a, cutoff)
+    kappa = None
+    if not isinstance(sigma_half, np.ndarray):
+        kappa = _partial_isometry_kappa(s, cutoff)
 
     def apply(x):
         return _check_last_axis(x, d, "apply") @ a.T
@@ -218,6 +288,7 @@ def build_dense_system(
         kind=kind,
         sigma_half=sigma_half,
         meta=dict(meta or {}),
+        kappa=kappa,
     )
 
 

@@ -24,6 +24,17 @@ keeps the null part of x + w, takes the range part of x + u and adds the
 range noise A+ S eps.  The chain start is with_range(sqrt(beta) eps_null,
 0, y) at the same cost.
 
+On a partial isometry with scalar noise s I (`LinearSystem.range_noise_gain`
+set: masks, `fourier_mask`, `avgpool`, dense systems with equal singular
+values such as single rows) the step draws eps_null only and takes its
+range noise from the range part of that draw, which is independent of the
+null part and has the law of A+ S eps (see `linop`):
+
+    x_new = with_range(x + w, x + u + sqrt(dt dgamma/dt) s sqrt(kappa) eps_null)
+
+One d-wide Gaussian draw per step instead of a d-wide and an m-wide one,
+at no extra operator call.
+
 When the system is noiseless the range component carries the signal exactly,
 so range noise and range drift are skipped and, with the range lock on, the
 range part x + u is replaced by the chain's initial range component A+ y,
@@ -191,7 +202,10 @@ def reverse_step(
     current one.
 
     Noise order per step is fixed: the measurement-space draw first (only
-    taken when the system is noisy), then the signal-space draw.
+    taken when the system is noisy and not a partial isometry with scalar
+    noise), then the signal-space draw.  A partial isometry with scalar
+    noise takes its range noise from the signal-space draw (module
+    docstring); `linop.update_noise` makes the draws.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
@@ -201,14 +215,10 @@ def reverse_step(
     lam = coeffs.dlog_alpha_dt
     stiff = coeffs.f_null - 2.0 * lam
 
-    range_noise = None
-    if noisy and coeffs.dgamma_dt > 0:
-        eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
-        eps *= np.sqrt(dt * coeffs.dgamma_dt)
-        range_noise = sys.noise_scale(eps)
+    range_scale = np.sqrt(dt * coeffs.dgamma_dt) if noisy and coeffs.dgamma_dt > 0 else None
     # x + w, accumulated in the draw's buffer:
     # (dt stiff alpha) d + (1 - dt (stiff + L)) x + sqrt(dt gnull_sq) eps_null
-    v = rng.standard_normal(x.shape)
+    v, range_draw, range_noise = linop.update_noise(sys, rng, x.shape, range_scale)
     v *= np.sqrt(dt * max(coeffs.gnull_sq, 0.0))
     tmp = np.multiply(denoised, dt * stiff * coeffs.alpha)
     v += tmp
@@ -224,6 +234,9 @@ def reverse_step(
         r += x
     else:
         r = x
+    if range_draw is not None:
+        # the range part of the signal-space draw is the range noise
+        r = np.add(r, range_draw, out=range_draw)
     x_new = linop.with_range(sys, v, r, range_noise)
 
     if not np.isfinite(x_new).all():

@@ -17,10 +17,10 @@ Four operator families over flattened side x side grayscale images in
 `perturb_system` rebuilds the deployment-time system with modified
 parameters and returns a measurement generator, while any trained model
 keeps its training-time system embedded; this is the misspecification
-protocol.  Poisson measurement noise is available as an evaluation-only
-generator and is never embedded: it draws photon counts N ~ Poisson(I0
-exp(-A x)) and returns the line integrals -log(max(N, 1) / I0), which are in
-the units of A x like every other generator's measurements.
+protocol.  Poisson measurement noise is available for ct as an
+evaluation-only generator and is never embedded: it draws photon counts
+N ~ Poisson(I0 exp(-A x)) and returns the line integrals -log(max(N, 1) / I0),
+which are in the units of A x like every other generator's measurements.
 """
 
 from __future__ import annotations
@@ -107,6 +107,7 @@ def _inpainting_system(spec: TaskSpec) -> LinearSystem:
         kind="mask",
         sigma_half=0.0,
         meta={"mask": mask},
+        kappa=1.0,
     )
 
 
@@ -141,6 +142,7 @@ def _superres_system(spec: TaskSpec) -> LinearSystem:
         kind="avgpool",
         sigma_half=0.0,
         meta={"factor": k},
+        kappa=float(k * k),
     )
 
 
@@ -262,6 +264,7 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
         kind="fourier_mask",
         sigma_half=sigma_half,
         meta={"n_low_labels": n_low, "n_labels_kept": len(keep), "rows": a},
+        kappa=1.0,
     )
 
 
@@ -317,6 +320,10 @@ def perturb_system(spec: TaskSpec, pert: Perturbation):
             deploy_spec = dataclasses.replace(deploy_spec, sigma2_sq=pert.noise_var)
         else:
             raise ValueError("noise_var perturbation needs a noisy task (ct or mri)")
+
+    if pert.poisson_i0 is not None and spec.task != "ct":
+        # I0 exp(-A x) is a transmission model: A x must be line integrals
+        raise ValueError("poisson_i0 perturbation applies to the ct task only")
 
     deployed = build_system(deploy_spec)
 

@@ -262,6 +262,31 @@ class TestMisspec:
         assert rows == ["run_id,task,variant,perturbation,psnr,ssim,n_samples,seed"]
 
 
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ["--param", "noise_var", "--values", "a"],
+            ["--values", "a"],
+            ["--param", "tau", "--values", "0.1"],
+            ["--param", "lambda1", "--values", "10"],
+            ["--param", "poisson_i0", "--values", "1000"],
+        ],
+        ids=["values_not_a_number", "values_without_param", "tau_not_ct",
+             "lambda1_not_mri", "poisson_not_ct"],
+    )
+    def test_sweep_that_does_not_fit_exit_2(self, tmp_path, capsys, sweep):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)  # an inpainting task
+        ckpt = tmp_path / "net.ckpt"
+        net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
+        dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+        capsys.readouterr()
+        code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--output", str(tmp_path / "mis"), *sweep])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
 def _drop_header_line(blob, key):
     head, sep, tail = blob.partition(b"---\n")
     lines = [ln for ln in head.split(b"\n") if not ln.startswith(key.encode() + b"=")]

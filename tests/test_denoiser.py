@@ -178,6 +178,44 @@ class TestFlatLayout:
             assert other.flat.ctypes.data % 64 != 0  # adopted where it lies
             assert dn.forward_denoise(other, x, 0.3).tobytes() == expected
 
+    def test_train_buffers_start_on_64_bytes(self, monkeypatch):
+        seen = []
+        real = dn.adam_step
+
+        def spy(params, grads, state, *args):
+            seen.extend([*grads, *state.m, *state.v, *state.scratch])
+            return real(params, grads, state, *args)
+
+        monkeypatch.setattr(dn, "adam_step", spy)
+        net = dn.init_net(3, hidden=(5,), seed=0)
+        tcfg = dn.TrainConfig(lr=1e-3, batch_size=4, n_epochs=1, seed=0)
+        dn.train(net, linop.identity_system(3), schedule.ScheduleSpec("sb"), np.ones((4, 3)), tcfg)
+        assert len(seen) == 4
+        for buf in seen:
+            assert buf.ctypes.data % 64 == 0 and buf.shape == net.flat.shape
+        for buf in dn.adam_init([np.ones((3, 2)), np.ones(5)]).scratch:
+            assert buf.ctypes.data % 64 == 0
+
+    def test_train_bytes_independent_of_buffer_offset(self, monkeypatch):
+        sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
+        spec = schedule.ScheduleSpec("sb", b0=0.25, b1=0.25)
+        data = np.random.default_rng(5).standard_normal((21, 3))
+        tcfg = dn.TrainConfig(lr=3e-3, batch_size=8, n_epochs=3, seed=6)
+        real = dn._aligned_zeros
+        results = []
+        for shift in (0, 1, 2, 3):
+            # weights, gradient, moments and scratch shift * 8 bytes past 64
+            def shifted(shape, shift=shift):
+                buf = real(int(np.prod(shape)) + 8).ravel()
+                return buf[shift : shift + int(np.prod(shape))].reshape(shape)
+
+            monkeypatch.setattr(dn, "_aligned_zeros", shifted)
+            net = dn.init_net(3, hidden=(16, 12), seed=7)
+            assert net.flat.ctypes.data % 64 == 8 * shift
+            _, losses = dn.train(net, sys, spec, data, tcfg)
+            results.append((np.asarray(losses).tobytes(), net.flat.tobytes()))
+        assert all(r == results[0] for r in results)
+
     def test_writes_through_views_reach_the_vector(self):
         net = dn.init_net(3, hidden=(4,), seed=0)
         net.weights[1][:] = 7.0

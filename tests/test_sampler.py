@@ -67,7 +67,9 @@ class TestReverseStep:
         np.testing.assert_allclose(out.x, x, atol=1e-12)
 
     def test_matches_dense_transcription(self):
-        # one step against an explicit dense-matrix evaluation of the update
+        # one step against an explicit dense-matrix evaluation of the update;
+        # a one-row system is a partial isometry (kappa = 1), so its range
+        # noise is the range part of the one signal-space draw
         sys = mask_system(sigma=0.5)
         spec = schedule.ScheduleSpec("vp")
         t, dt = 0.5, 1e-3
@@ -85,29 +87,34 @@ class TestReverseStep:
         proj = a_pinv @ a
         nullp = np.eye(2) - proj
         h = proj + coeffs.alpha * nullp
-        rng = np.random.default_rng(seed)
-        eps = rng.standard_normal(1)
-        eps_null = rng.standard_normal(2)
+        assert sys.kappa == 1.0
+        z = np.random.default_rng(seed).standard_normal(2)
         f_term = coeffs.f_range * proj + (coeffs.f_null - 2 * coeffs.dlog_alpha_dt) * nullp
         drift = f_term @ (h @ denoised - x) - coeffs.dlog_alpha_dt * (nullp @ x)
         noise = (
-            np.sqrt(coeffs.dgamma_dt) * (a_pinv * 0.5) @ eps
-            + np.sqrt(coeffs.gnull_sq) * nullp @ eps_null
+            np.sqrt(coeffs.dgamma_dt) * 0.5 * proj @ z
+            + np.sqrt(coeffs.gnull_sq) * nullp @ z
         )
         expected = x + dt * drift + np.sqrt(dt) * noise
         np.testing.assert_allclose(out.x, expected, atol=1e-12)
 
 
 def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
-    """The reverse step written out term by term with separate projections."""
+    """The reverse step written out term by term with separate projections.
+
+    A partial isometry with scalar noise s I draws once: its range noise is
+    s sqrt(kappa) times the range part of the null-noise draw."""
     noisy = not sys.noise_is_zero
+    gain = sys.range_noise_gain
     drift = sampler.score_drift(sys, coeffs, x, denoised, include_range=noisy)
     drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
     noise = np.zeros_like(x)
-    if noisy and coeffs.dgamma_dt > 0:
+    if noisy and coeffs.dgamma_dt > 0 and gain is None:
         eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
         noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(eps))
     eps_null = rng.standard_normal(x.shape)
+    if gain is not None and coeffs.dgamma_dt > 0:
+        noise = noise + np.sqrt(coeffs.dgamma_dt) * gain * linop.project_range(sys, eps_null)
     noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, eps_null)
     x_new = x + dt * drift + np.sqrt(dt) * noise
     if locked_range is not None:

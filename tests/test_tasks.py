@@ -162,6 +162,12 @@ class TestPerturbations:
             psnrs.append(np.mean([tasks.psnr(r, x) for r, x in zip(recon, x0)]))
         assert abs(psnrs[0] - psnrs[1]) < 1.0, psnrs
 
+    @pytest.mark.parametrize("task", ["inpainting", "superres", "mri"])
+    def test_poisson_refused_off_ct(self, task):
+        spec = tasks.TaskSpec(task, image_side=4, factor=2)
+        with pytest.raises(ValueError, match="ct task only"):
+            tasks.perturb_system(spec, tasks.Perturbation(poisson_i0=1e4))
+
     def test_poisson_requires_positive_intensity(self):
         with pytest.raises(ValueError):
             tasks.Perturbation(poisson_i0=0.0)
