@@ -6,7 +6,8 @@ component of a signal is denoised while the null component is synthesized.
 Modules: linop (operator algebra), schedule (coefficient triples), forward
 (corruption process), sampler (reverse-time sampling), denoiser (network
 and training loop), oracle (analytic Gaussian ground truth), tasks
-(benchmark operators, metrics), nonlinear (local linearization), cli
+(task schema, benchmark systems, datasets, metrics), nonlinear (local
+linearization), cli
 (command-line orchestration).
 """
 
@@ -17,11 +18,9 @@ from .linop import (
     project_null,
     project_range,
     pseudoinverse,
-    pseudoinverse_reconstruction,
-    whiten,
 )
 from .oracle import GaussianBelief, gaussian_posterior, oracle_denoiser
-from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate, terminal_limits
+from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 from .forward import ProcessState, analytic_marginal, forward_sample, simulate_forward_sde
 from .sampler import SamplerConfig, SampleTrace, sample
 from .denoiser import DenoiserNet, TrainConfig, forward_denoise, init_net, train
@@ -37,15 +36,12 @@ __all__ = [
     "project_null",
     "project_range",
     "pseudoinverse",
-    "pseudoinverse_reconstruction",
-    "whiten",
     "GaussianBelief",
     "gaussian_posterior",
     "oracle_denoiser",
     "ScheduleCoeffs",
     "ScheduleSpec",
     "evaluate",
-    "terminal_limits",
     "ProcessState",
     "analytic_marginal",
     "forward_sample",

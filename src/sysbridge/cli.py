@@ -1,9 +1,10 @@
 """Command-line entry points and experiment orchestration.
 
-Subcommands: train, sample, verify, misspec.  Exit codes: 0 success,
-1 runtime or numeric failure, 2 usage or config error.  All CSV outputs
-are byte-reproducible given the same config and seeds; timestamps appear
-only in the sidecar run.log.
+Subcommands: train, sample, verify, misspec.  The system, data and prior
+of a run come from its `tasks.TaskSpec`; this module only orchestrates.
+Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or config
+error.  All CSV outputs are byte-reproducible given the same config and
+seeds; timestamps appear only in the sidecar run.log.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import denoiser as dn
-from . import linop, nonlinear, oracle, sampler, tasks, tensorio, verification
+from . import oracle, sampler, tasks, tensorio, verification
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import ConfigError, NumericalError
 from .schedule import ScheduleSpec
@@ -28,80 +29,6 @@ from .schedule import ScheduleSpec
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
-
-
-def _make_dataset(cfg: ExperimentConfig, n: int, seed: int) -> np.ndarray:
-    t = cfg.task
-    d = t.d
-    if t.dataset == "blobs":
-        if t.signal_dim > 0 and t.signal_dim != t.image_side ** 2:
-            raise ConfigError("blobs dataset requires signal_dim == image_side**2")
-        return tasks.make_toy_dataset("image_blobs", n, seed=seed, side=t.image_side)
-    if t.dataset == "gaussian":
-        return tasks.make_toy_dataset(
-            "gaussian", n, seed=seed, mean=np.full(d, t.gauss_mean), cov=t.gauss_var
-        )
-    if t.dataset == "field":
-        if t.signal_dim > 0 and t.signal_dim != t.image_side ** 2:
-            raise ConfigError("field dataset requires signal_dim == image_side**2")
-        return tasks.make_toy_dataset(
-            "field", n, seed=seed, side=t.image_side,
-            scale=t.field_scale, amp=t.field_amp, mean=t.field_mean,
-        )
-    if t.dataset == "mixture":
-        coord = t.mix_coord if t.mix_coord >= 0 else d - 1
-        if coord >= d:
-            raise ConfigError(f"mix_coord {coord} out of range for d={d}")
-        mean_hi = np.zeros(d)
-        mean_hi[coord] = t.mix_sep
-        mean_lo = -mean_hi
-        cov = t.mix_std ** 2
-        return tasks.make_toy_dataset(
-            "gaussian_mixture",
-            n,
-            seed=seed,
-            weights=[0.5, 0.5],
-            means=[mean_hi, mean_lo],
-            covs=[cov, cov],
-        )
-    # single-point dataset (memorization smoke runs)
-    return np.tile(np.full(cfg.task.d, t.point_value), (n, 1))
-
-
-def _gaussian_prior(cfg: ExperimentConfig):
-    """Analytic prior for datasets that have one (gaussian and field)."""
-    t = cfg.task
-    if t.dataset == "gaussian":
-        d = t.d
-        return oracle.GaussianBelief(np.full(d, t.gauss_mean), t.gauss_var * np.eye(d))
-    if t.dataset == "field":
-        mu, cov = tasks.field_prior(
-            t.image_side, scale=t.field_scale, amp=t.field_amp, mean=t.field_mean
-        )
-        return oracle.GaussianBelief(mu, cov)
-    return None
-
-
-def _build_system(cfg: ExperimentConfig):
-    """Measurement system for the configured task.
-
-    For the nonlinear contrast task, training and sampling embed the
-    operator linearized at a gradient-descent estimate from a calibration
-    measurement (first dataset draw, noiseless); per-measurement
-    re-linearization is available through the nonlinear module API.
-    """
-    t = cfg.task
-    if t.task == "dense":
-        rng = np.random.default_rng(t.seed)
-        a = rng.standard_normal((t.dense_m, t.d))
-        return linop.build_dense_system(a, sigma_half=float(np.sqrt(t.noise_var)))
-    if t.task == "contrast":
-        nsys = nonlinear.sigmoid_contrast_system(t.d, k=t.contrast_k, a=t.contrast_a)
-        calib = _make_dataset(cfg, 1, t.data_seed)[0]
-        y_cal = nsys.apply(calib)
-        x_hat = nonlinear.mle_init(nsys, y_cal)
-        return nonlinear.linearize(nsys, x_hat, sigma_half=float(np.sqrt(t.noise_var)))
-    return tasks.build_system(t.spec)
 
 
 def _write_csv(path, header, rows):
@@ -194,8 +121,8 @@ def cmd_train(args) -> int:
     _snapshot(cfg, out)
     _log(out, f"train start run_id={cfg.run.run_id}")
 
-    sys_ = _build_system(cfg)
-    data = _make_dataset(cfg, cfg.task.n_train, cfg.task.data_seed)
+    sys_ = tasks.build_system(cfg.task)
+    data = tasks.make_dataset(cfg.task, cfg.task.n_train, cfg.task.data_seed)
     tr = cfg.train
     net = dn.init_net(
         sys_.d,
@@ -261,11 +188,11 @@ def cmd_sample(args) -> int:
     _snapshot(cfg, out)
     _log(out, "sample start")
 
-    sys_ = _build_system(cfg)
+    sys_ = tasks.build_system(cfg.task)
     spec = cfg.schedule
 
     if args.oracle_denoiser:
-        prior = _gaussian_prior(cfg)
+        prior = tasks.gaussian_prior(cfg.task)
         if prior is None:
             raise ConfigError("--oracle-denoiser requires a dataset with an analytic prior (gaussian or field)")
         denoise = oracle.oracle_denoiser(prior, sys_, spec)
@@ -278,7 +205,7 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(smp.seed)
     x_truth = None
     if args.simulate:
-        x_truth = _make_dataset(cfg, smp.n_samples, smp.seed + 1)
+        x_truth = tasks.make_dataset(cfg.task, smp.n_samples, smp.seed + 1)
         clean = sys_.apply(x_truth)
         y = clean + sys_.noise_scale(rng.standard_normal(clean.shape))
         if args.oracle_denoiser:
@@ -317,7 +244,6 @@ def cmd_sample(args) -> int:
     _write_csv(out / "metrics.csv", _METRIC_HEADER, rows)
 
     if args.oracle_denoiser and args.simulate:
-        prior = _gaussian_prior(cfg)
         post = oracle.gaussian_posterior(prior, sys_, y[0])
         emp_mean = samples.mean(axis=0)
         emp_cov = np.cov(samples.T) if samples.shape[0] > 1 else np.zeros((sys_.d, sys_.d))
@@ -381,21 +307,22 @@ def cmd_misspec(args) -> int:
         raise ConfigError("misspec requires --checkpoint")
     if values and param not in tasks.SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {param!r}, expected one of {tasks.SWEEP_PARAMS}")
-    task_spec = cfg.task.spec
+    if cfg.task.task not in tasks.TASKS:
+        raise ConfigError(f"task {cfg.task.task!r} is not one of the image tasks {tasks.TASKS}")
     try:
         deployments = [
-            tasks.perturb_system(task_spec, tasks.Perturbation(**{param: value}))
+            tasks.perturb_system(cfg.task, tasks.Perturbation(**{param: value}))
             for value in values
         ]
     except ValueError as exc:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc
-    train_sys = _build_system(cfg)
+    train_sys = tasks.build_system(cfg.task)
     denoise = _checkpoint_denoiser(args.checkpoint, cfg.schedule, train_sys.d)
     scfg = cfg.sampler_config
     rows, summary = [], []
     for value, (deployed, generate) in zip(values, deployments):
         rng = np.random.default_rng(cfg.eval.seed)
-        x0 = _make_dataset(cfg, cfg.eval.n_draws, cfg.eval.seed + 1)
+        x0 = tasks.make_dataset(cfg.task, cfg.eval.n_draws, cfg.eval.seed + 1)
         y_deploy = generate(x0, rng)
         # deployment reconstruction, then re-measured through the embedded
         # training-time system: the checkpoint never sees the perturbed one
@@ -459,7 +386,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite")
     p_verify.add_argument("--output", default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--threads", type=int, default=1, help="BLAS threads; outputs do not depend on it")
 
     p_mis = sub.add_parser("misspec", help="sweep deployment-time system perturbations")

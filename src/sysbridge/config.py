@@ -6,10 +6,11 @@ are rejected so that a config snapshot written next to experiment outputs
 is always replayable.  parse -> serialize -> parse is the identity on the
 resolved configuration.
 
-The ``[schedule]`` section is a `ScheduleSpec` and ``[train]`` a
-`TrainConfig`, so their checks run at parse time; so do those of the
-`TaskSpec` of an image task and of the `SamplerConfig`, each built from its
-sections by one mapping below.  Any rejected value is a `ConfigError`.
+The ``[task]`` section is a `TaskSpec`, ``[schedule]`` a `ScheduleSpec`
+and ``[train]`` a `TrainConfig`, so their checks run at parse time; so do
+those of the `SamplerConfig`, built from its sections by one mapping below.
+A field's key is its name unless its ``ini`` metadata names another.  Any
+rejected value is a `ConfigError`.
 """
 
 from __future__ import annotations
@@ -24,74 +25,16 @@ from .denoiser import TrainConfig
 from .errors import ConfigError
 from .sampler import SamplerConfig
 from .schedule import ScheduleSpec
-from .tasks import SWEEP_PARAMS, TASKS, TaskSpec
+from .tasks import SWEEP_PARAMS, TaskSpec
 
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
-
-TASK_CHOICES = TASKS + ("dense", "contrast")
-DATASET_CHOICES = ("blobs", "field", "gaussian", "mixture", "point")
 
 
 @dataclass(frozen=True)
 class RunSection:
     run_id: str = "run"
     output_dir: str = "."
-
-
-@dataclass(frozen=True)
-class TaskSection:
-    task: str = "inpainting"
-    image_side: int = 8
-    signal_dim: int = 0          # overrides image_side**2 when > 0 (vector toys)
-    mask_fraction: float = 0.5
-    factor: int = 4
-    tau: float = 0.05
-    sigma1_sq: float = 1e-4
-    latent_dim: int = 16
-    lambda1: float = 16.0
-    lambda2: float = 30.0
-    sigma2_sq: float = 5.0
-    dense_m: int = 2
-    noise_var: float = 0.0       # dense-task scalar noise variance
-    contrast_k: float = 4.0
-    contrast_a: float = 0.5
-    seed: int = 0
-    dataset: str = "blobs"
-    n_train: int = 256
-    data_seed: int = 0
-    gauss_mean: float = 0.0
-    gauss_var: float = 1.0
-    field_scale: float = 3.0
-    field_amp: float = 0.1
-    field_mean: float = 0.5
-    mix_sep: float = 2.0
-    mix_std: float = 0.5
-    mix_coord: int = -1
-    point_value: float = 0.5
-
-    @property
-    def d(self) -> int:
-        return self.signal_dim if self.signal_dim > 0 else self.image_side ** 2
-
-    @property
-    def spec(self) -> TaskSpec:
-        """The image task's system spec (not for the dense and contrast tasks)."""
-        if self.task not in TASKS:
-            raise ConfigError(f"task {self.task!r} is not one of the image tasks {TASKS}")
-        return TaskSpec(
-            task=self.task,
-            image_side=self.image_side,
-            mask_fraction=self.mask_fraction,
-            factor=self.factor,
-            tau=self.tau,
-            sigma1_sq=self.sigma1_sq,
-            latent_dim=self.latent_dim,
-            lambda1_pct=self.lambda1,
-            lambda2_pct=self.lambda2,
-            sigma2_sq=self.sigma2_sq,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -115,7 +58,7 @@ class EvalSection:
 @dataclass(frozen=True)
 class ExperimentConfig:
     run: RunSection = field(default_factory=RunSection)
-    task: TaskSection = field(default_factory=TaskSection)
+    task: TaskSpec = field(default_factory=TaskSpec)
     schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
     train: TrainConfig = field(default_factory=TrainConfig)
     sample: SampleSection = field(default_factory=SampleSection)
@@ -136,12 +79,17 @@ class ExperimentConfig:
 
 _SECTIONS = {
     "run": RunSection,
-    "task": TaskSection,
+    "task": TaskSpec,
     "schedule": ScheduleSpec,
     "train": TrainConfig,
     "sample": SampleSection,
     "eval": EvalSection,
 }
+
+
+def _key(f: dataclasses.Field) -> str:
+    """The config key of a section field."""
+    return f.metadata.get("ini", f.name)
 
 
 def _parse_value(name: str, raw: str, pytype):
@@ -182,11 +130,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"unknown config section [{section}]")
         cls = _SECTIONS[section]
         types = typing.get_type_hints(cls)
+        fields = {_key(f): f.name for f in dataclasses.fields(cls)}
         values = {}
         for key, raw in parser.items(section):
-            if key not in types:
+            if key not in fields:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[key] = _parse_value(key, raw, types[key])
+            values[fields[key]] = _parse_value(key, raw, types[fields[key]])
         try:
             sections[section] = cls(**values)
         except (ValueError, TypeError) as exc:
@@ -207,20 +156,9 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.task.task not in TASK_CHOICES:
-        raise ConfigError(f"unknown task {cfg.task.task!r}, expected one of {TASK_CHOICES}")
-    if cfg.task.dataset not in DATASET_CHOICES:
-        raise ConfigError(
-            f"unknown dataset {cfg.task.dataset!r}, expected one of {DATASET_CHOICES}"
-        )
     if cfg.eval.param not in ("",) + SWEEP_PARAMS:
         raise ConfigError(f"unknown sweep parameter {cfg.eval.param!r}")
-    # build the specs the run will build, so that their checks run now
-    try:
-        if cfg.task.task in TASKS:
-            cfg.task.spec
-    except ValueError as exc:
-        raise ConfigError(f"invalid [task] section: {exc}") from exc
+    # build the sampler config the run will build, so that its checks run now
     try:
         cfg.sampler_config
     except ValueError as exc:
@@ -250,6 +188,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     ):
         lines.append(f"[{name}]")
         for f in dataclasses.fields(section):
-            lines.append(f"{f.name} = {_format_value(getattr(section, f.name))}")
+            lines.append(f"{_key(f)} = {_format_value(getattr(section, f.name))}")
         lines.append("")
     return "\n".join(lines)

@@ -29,10 +29,6 @@ class UnsupportedVariantError(ValueError):
     """An operation was called with a schedule variant it does not support."""
 
 
-class InvalidCovarianceError(ValueError):
-    """A noise covariance has negative eigenvalues beyond tolerance."""
-
-
 class CapacityError(ValueError):
     """A dense materialization was requested above the supported size."""
 

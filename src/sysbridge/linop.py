@@ -31,12 +31,12 @@ vice versa.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .errors import DimensionError, InvalidCovarianceError, NumericalError
+from .errors import DimensionError, NumericalError
 
 # Relative singular-value cutoff for generic pseudoinverses.  Structured
 # operators with a prescribed spectrum (e.g. threshold-truncated SVD) carry
@@ -65,10 +65,7 @@ class LinearSystem:
         linearized.
     sigma_half:
         Backing representation of S: a scalar s meaning s * I, or a dense
-        m x m factor.  Used by `whiten` and by dense test oracles.
-    meta:
-        Construction details (stored spectrum, masks, seeds) for
-        diagnostics; never consumed by the core math.
+        m x m factor.  Used by `range_noise_gain` and by dense test oracles.
     kappa:
         The kappa with A+ A+^T = kappa A+ A when every nonzero singular
         value of A is equal (1 / s^2 for the common value s), else None.
@@ -82,7 +79,6 @@ class LinearSystem:
     noise_scale: Callable[[np.ndarray], np.ndarray]
     kind: str
     sigma_half: SigmaHalf = 0.0
-    meta: dict = field(default_factory=dict, compare=False)
     kappa: Optional[float] = None
 
     @property
@@ -216,12 +212,6 @@ def update_noise(sys: LinearSystem, rng, shape, range_scale=None):
     return rng.standard_normal(shape), None, range_noise
 
 
-def pseudoinverse_reconstruction(sys: LinearSystem, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares signal estimate A+ y."""
-    y = _check_last_axis(y, sys.m, "pseudoinverse_reconstruction")
-    return sys.apply_pinv(y)
-
-
 def _sigma_half_matrix(sigma_half: SigmaHalf, m: int) -> np.ndarray:
     if isinstance(sigma_half, np.ndarray):
         if sigma_half.shape != (m, m):
@@ -255,7 +245,6 @@ def build_dense_system(
     sigma_half: SigmaHalf = 0.0,
     kind: str = "dense",
     cutoff: float = DEFAULT_CUTOFF,
-    meta: dict | None = None,
 ) -> LinearSystem:
     """Back every LinearSystem closure with dense multiplies.
 
@@ -287,7 +276,6 @@ def build_dense_system(
         noise_scale=make_noise_scale(sigma_half, m),
         kind=kind,
         sigma_half=sigma_half,
-        meta=dict(meta or {}),
         kappa=kappa,
     )
 
@@ -309,57 +297,3 @@ def materialize_pinv(sys: LinearSystem) -> np.ndarray:
 def materialize_noise_half(sys: LinearSystem) -> np.ndarray:
     """Dense covariance square root S."""
     return sys.noise_scale(np.eye(sys.m)).T
-
-
-def _inv_sqrt_psd(sigma: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Symmetric (Sigma+)^(1/2) for a PSD matrix; errors on negative spectra."""
-    sym = 0.5 * (sigma + sigma.T)
-    evals, evecs = np.linalg.eigh(sym)
-    scale = max(1.0, float(np.max(np.abs(evals))))
-    if np.min(evals) < -tol * scale:
-        raise InvalidCovarianceError(
-            f"covariance has negative eigenvalue {np.min(evals):.3e}"
-        )
-    evals = np.clip(evals, 0.0, None)
-    inv_root = np.where(evals > tol * scale, 1.0 / np.sqrt(np.where(evals > 0, evals, 1.0)), 0.0)
-    return (evecs * inv_root) @ evecs.T
-
-
-def whiten(sys: LinearSystem) -> LinearSystem:
-    """Rescale the system so the measurement noise is isotropic.
-
-    For scalar noise s * I the operator closures are wrapped in place
-    (A' = A / s, A'+ = s A+); a dense covariance factor triggers a dense
-    rebuild with A' = (Sigma+)^(1/2) A.  A noiseless system is returned
-    unchanged: there is nothing to whiten.
-    """
-    if sys.noise_is_zero:
-        return sys
-    if isinstance(sys.sigma_half, np.ndarray):
-        sigma = sys.sigma_half @ sys.sigma_half.T
-        w = _inv_sqrt_psd(sigma)
-        a_white = w @ materialize(sys)
-        return build_dense_system(a_white, sigma_half=1.0, kind=sys.kind, meta=sys.meta)
-
-    s = float(sys.sigma_half)
-    if s < 0:
-        raise InvalidCovarianceError(f"negative scalar noise scale {s}")
-    inner_apply = sys.apply
-    inner_pinv = sys.apply_pinv
-
-    def apply(x):
-        return inner_apply(x) / s
-
-    def apply_pinv(y):
-        return s * inner_pinv(y)
-
-    return LinearSystem(
-        m=sys.m,
-        d=sys.d,
-        apply=apply,
-        apply_pinv=apply_pinv,
-        noise_scale=make_noise_scale(1.0, sys.m),
-        kind=sys.kind,
-        sigma_half=1.0,
-        meta=dict(sys.meta),
-    )

@@ -178,13 +178,3 @@ def verify_g2_identity(spec: ScheduleSpec, grid) -> float:
         c = evaluate(spec, float(t))
         worst = max(worst, abs(c.gnull_sq - g_squared(spec, float(t))))
     return worst
-
-
-def terminal_limits(spec: ScheduleSpec):
-    """(gamma, alpha^2 / beta) at the clipped terminal time 1 - eps1.
-
-    The reverse sampler produces posterior-consistent output when gamma
-    approaches 1 and alpha^2 / beta approaches 0 there.
-    """
-    c = evaluate(spec, spec.t_max)
-    return c.gamma, c.alpha * c.alpha / c.beta

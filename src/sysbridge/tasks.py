@@ -1,6 +1,11 @@
-"""Desk-scale benchmark measurement systems, perturbations and metrics.
+"""Tasks: measurement systems, the data they measure, perturbations, metrics.
 
-Four operator families over flattened side x side grayscale images in
+A `TaskSpec` is one task, the ``[task]`` section of an experiment config:
+which measurement system, and which dataset it measures.  `build_system`,
+`make_dataset` and `gaussian_prior` turn it into the system, draws of the
+data and, where the data has one, the exact Gaussian prior.
+
+Four image operators over flattened side x side grayscale images in
 [0, 1] (d = side^2):
 
   inpainting - square diagonal 0/1 mask, its own pseudoinverse, noiseless.
@@ -13,6 +18,14 @@ Four operator families over flattened side x side grayscale images in
                lambda1 percent lowest frequencies kept deterministically,
                lambda2 percent of all frequencies sampled from the rest;
                scalar noise.  Orthonormal rows make A+ = A^T.
+
+and two over vectors of width signal_dim:
+
+  dense      - a seeded standard normal dense_m x d matrix, scalar noise.
+  contrast   - the elementwise sigmoid(k (x - a)), linearized at a
+               gradient-descent estimate from one calibration measurement
+               (the first dataset draw, noiseless); per-measurement
+               re-linearization is available through `nonlinear`.
 
 `perturb_system` rebuilds the deployment-time system with modified
 parameters and returns a measurement generator, while any trained model
@@ -27,52 +40,105 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from . import nonlinear, oracle
 from .errors import DimensionError
-from .linop import LinearSystem, make_noise_scale
+from .linop import LinearSystem, build_dense_system, make_noise_scale
 
-TASKS = ("inpainting", "superres", "ct", "mri")
+TASKS = ("inpainting", "superres", "ct", "mri")   # the image tasks
+VECTOR_TASKS = ("dense", "contrast")
+DATASETS = ("blobs", "field", "gaussian", "mixture", "point")
 
 
 @dataclass(frozen=True)
 class TaskSpec:
-    task: str
+    """One task: its measurement system and its dataset.
+
+    Every field is checked here, whatever the task, so a config is refused
+    when it is read.  `lambda1_pct` and `lambda2_pct` are the config keys
+    ``lambda1`` and ``lambda2`` (the ``ini`` metadata).
+    """
+
+    task: str = "inpainting"
     image_side: int = 8
+    signal_dim: int = 0            # d when > 0 (vector tasks); else image_side**2
     mask_fraction: float = 0.5     # inpainting: fraction of pixels removed
     factor: int = 4                # superres pooling factor
     tau: float = 0.05              # ct absolute singular-value threshold
     sigma1_sq: float = 1e-4        # ct noise variance
     latent_dim: int = 16           # ct spectrum decay scale
-    lambda1_pct: float = 16.0      # mri: percent of lowest frequencies kept
-    lambda2_pct: float = 30.0      # mri: percent of frequencies sampled from the rest
+    # mri: percent of lowest frequencies kept, and sampled from the rest
+    lambda1_pct: float = field(default=16.0, metadata={"ini": "lambda1"})
+    lambda2_pct: float = field(default=30.0, metadata={"ini": "lambda2"})
     sigma2_sq: float = 5.0         # mri noise variance
-    seed: int = 0
+    dense_m: int = 2               # dense measurement rows
+    noise_var: float = 0.0         # dense and contrast scalar noise variance
+    contrast_k: float = 4.0
+    contrast_a: float = 0.5
+    seed: int = 0                  # system seed
+    dataset: str = "blobs"
+    n_train: int = 256
+    data_seed: int = 0
+    gauss_mean: float = 0.0
+    gauss_var: float = 1.0
+    field_scale: float = 3.0
+    field_amp: float = 0.1
+    field_mean: float = 0.5
+    mix_sep: float = 2.0
+    mix_std: float = 0.5
+    mix_coord: int = -1            # mixture axis; negative: the last
+    point_value: float = 0.5
 
     def __post_init__(self):
-        if self.task not in TASKS:
-            raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS}")
-        if self.image_side < 1:
-            raise ValueError("image_side must be >= 1")
+        if self.task not in TASKS + VECTOR_TASKS:
+            raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS + VECTOR_TASKS}")
+        if self.dataset not in DATASETS:
+            raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
+        if self.image_side < 1 or self.signal_dim < 0:
+            raise ValueError("image_side >= 1 and signal_dim >= 0 required")
+        if (self.task in TASKS or self.dataset in ("blobs", "field")) and self.d != self.image_side ** 2:
+            raise ValueError(
+                f"task {self.task} on dataset {self.dataset} acts on images: "
+                f"signal_dim must be 0 or image_side**2 = {self.image_side ** 2}"
+            )
         if not 0.0 <= self.mask_fraction <= 1.0:
             raise ValueError("mask_fraction must lie in [0, 1]")
+        if self.factor < 1:
+            raise ValueError("factor must be >= 1")
         if self.task == "superres" and self.image_side % self.factor != 0:
             raise ValueError(
                 f"pooling factor {self.factor} does not divide side {self.image_side}"
             )
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
+        if self.latent_dim < 1:
+            raise ValueError("latent_dim must be >= 1")
         if not (0.0 <= self.lambda1_pct <= 100.0 and 0.0 <= self.lambda2_pct <= 100.0):
             raise ValueError("lambda percentages must lie in [0, 100]")
         if self.lambda1_pct + self.lambda2_pct > 100.0:
             raise ValueError("lambda1 + lambda2 select more than 100% of frequencies")
+        if min(self.sigma1_sq, self.sigma2_sq, self.noise_var) < 0:
+            raise ValueError("noise variances sigma1_sq, sigma2_sq and noise_var must be >= 0")
+        if self.dense_m < 1:
+            raise ValueError("dense_m must be >= 1")
+        if self.seed < 0 or self.data_seed < 0:
+            raise ValueError("seed and data_seed must be >= 0")
+        if self.n_train < 1:
+            raise ValueError("n_train must be >= 1")
+        if not (self.gauss_var > 0 and self.mix_std > 0 and self.field_scale > 0):
+            raise ValueError("gauss_var, mix_std and field_scale must be > 0")
+        if self.field_amp < 0:
+            raise ValueError("field_amp must be >= 0")
+        if self.mix_coord >= self.d:
+            raise ValueError(f"mix_coord {self.mix_coord} out of range for d={self.d}")
 
     @property
     def d(self) -> int:
-        return self.image_side * self.image_side
+        return self.signal_dim if self.signal_dim > 0 else self.image_side ** 2
 
 
 def build_system(spec: TaskSpec) -> LinearSystem:
@@ -82,7 +148,16 @@ def build_system(spec: TaskSpec) -> LinearSystem:
         return _superres_system(spec)
     if spec.task == "ct":
         return _ct_system(spec)
-    return _mri_system(spec)
+    if spec.task == "mri":
+        return _mri_system(spec)
+    if spec.task == "dense":
+        rng = np.random.default_rng(spec.seed)
+        a = rng.standard_normal((spec.dense_m, spec.d))
+        return build_dense_system(a, sigma_half=float(np.sqrt(spec.noise_var)))
+    nsys = nonlinear.sigmoid_contrast_system(spec.d, k=spec.contrast_k, a=spec.contrast_a)
+    y_cal = nsys.apply(make_dataset(spec, 1, spec.data_seed)[0])
+    x_hat = nonlinear.mle_init(nsys, y_cal)
+    return nonlinear.linearize(nsys, x_hat, sigma_half=float(np.sqrt(spec.noise_var)))
 
 
 def _inpainting_system(spec: TaskSpec) -> LinearSystem:
@@ -106,7 +181,6 @@ def _inpainting_system(spec: TaskSpec) -> LinearSystem:
         noise_scale=make_noise_scale(0.0, d),
         kind="mask",
         sigma_half=0.0,
-        meta={"mask": mask},
         kappa=1.0,
     )
 
@@ -141,7 +215,6 @@ def _superres_system(spec: TaskSpec) -> LinearSystem:
         noise_scale=make_noise_scale(0.0, m),
         kind="avgpool",
         sigma_half=0.0,
-        meta={"factor": k},
         kappa=float(k * k),
     )
 
@@ -182,7 +255,6 @@ def _ct_system(spec: TaskSpec) -> LinearSystem:
         noise_scale=make_noise_scale(sigma_half, d),
         kind="truncated_svd",
         sigma_half=sigma_half,
-        meta={"spectrum": spectrum, "spectrum_truncated": s, "tau": tau},
     )
 
 
@@ -263,7 +335,6 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
         noise_scale=make_noise_scale(sigma_half, m),
         kind="fourier_mask",
         sigma_half=sigma_half,
-        meta={"n_low_labels": n_low, "n_labels_kept": len(keep), "rows": a},
         kappa=1.0,
     )
 
@@ -284,18 +355,6 @@ class Perturbation:
     def __post_init__(self):
         if self.poisson_i0 is not None and self.poisson_i0 <= 0:
             raise ValueError("poisson noise requires intensity > 0")
-
-    def label(self) -> str:
-        parts = []
-        if self.lambda1 is not None:
-            parts.append(f"lambda1={self.lambda1:g}")
-        if self.tau is not None:
-            parts.append(f"tau={self.tau:g}")
-        if self.noise_var is not None:
-            parts.append(f"noise_var={self.noise_var:g}")
-        if self.poisson_i0 is not None:
-            parts.append(f"poisson_i0={self.poisson_i0:g}")
-        return ";".join(parts) if parts else "none"
 
 
 def perturb_system(spec: TaskSpec, pert: Perturbation):
@@ -447,6 +506,18 @@ def blob_images(n, side, rng):
     return out.reshape(n, side * side)
 
 
+def _field_spectrum(side: int, scale: float, amp: float):
+    """(basis, var): the orthonormal realified Fourier basis, one row per
+    coefficient, and each coefficient's variance amp * exp(-(|f| / scale)^2)."""
+    rows = []
+    variances = []
+    for mag, _, _, u, v, self_conj in _fourier_labels(side):
+        fr = _fourier_rows(side, u, v, self_conj)
+        rows.extend(fr)
+        variances.extend([amp * math.exp(-((mag / scale) ** 2))] * len(fr))
+    return np.asarray(rows), np.asarray(variances)
+
+
 def field_prior(side: int, scale: float = 3.0, amp: float = 0.1, mean: float = 0.5):
     """Band-limited Gaussian random-field image prior.
 
@@ -456,26 +527,23 @@ def field_prior(side: int, scale: float = 3.0, amp: float = 0.1, mean: float = 0
     mask in that band carries real information.  Returns (mean vector,
     covariance matrix).
     """
-    labels = _fourier_labels(side)
-    rows = []
-    variances = []
-    for mag, _, _, u, v, self_conj in labels:
-        fr = _fourier_rows(side, u, v, self_conj)
-        rows.extend(fr)
-        variances.extend([amp * math.exp(-((mag / scale) ** 2))] * len(fr))
-    basis = np.asarray(rows)           # d x d orthonormal
-    var = np.asarray(variances)
+    basis, var = _field_spectrum(side, scale, amp)
     cov = (basis.T * var) @ basis
     return np.full(side * side, mean), 0.5 * (cov + cov.T)
 
 
 def sample_field(n, side, rng, scale: float = 3.0, amp: float = 0.1, mean: float = 0.5):
-    mu, cov = field_prior(side, scale=scale, amp=amp, mean=mean)
-    if n == 0:
-        return np.zeros((0, side * side))
-    evals, evecs = np.linalg.eigh(cov)
-    half = evecs * np.sqrt(np.clip(evals, 0.0, None))
-    return mu + rng.standard_normal((n, side * side)) @ half.T
+    """n draws of the `field_prior` field, drawn coefficient by coefficient.
+
+    No eigendecomposition: its result, unlike a matrix product's, depends on
+    the BLAS thread count, and the draws must not.
+    """
+    basis, var = _field_spectrum(side, scale, amp)
+    z = rng.standard_normal((n, side * side))
+    z *= np.sqrt(var)
+    x = z @ basis
+    x += mean
+    return x
 
 
 def make_toy_dataset(kind: str, n: int, seed: int = 0, **params) -> np.ndarray:
@@ -501,3 +569,41 @@ def make_toy_dataset(kind: str, n: int, seed: int = 0, **params) -> np.ndarray:
     if kind == "image_blobs":
         return blob_images(n, params["side"], rng)
     raise ValueError(f"unknown dataset kind {kind!r}")
+
+
+def make_dataset(spec: TaskSpec, n: int, seed: int) -> np.ndarray:
+    """n draws of the spec's dataset, an (n, d) array."""
+    d = spec.d
+    if spec.dataset == "blobs":
+        return make_toy_dataset("image_blobs", n, seed=seed, side=spec.image_side)
+    if spec.dataset == "gaussian":
+        return make_toy_dataset(
+            "gaussian", n, seed=seed, mean=np.full(d, spec.gauss_mean), cov=spec.gauss_var
+        )
+    if spec.dataset == "field":
+        return make_toy_dataset(
+            "field", n, seed=seed, side=spec.image_side,
+            scale=spec.field_scale, amp=spec.field_amp, mean=spec.field_mean,
+        )
+    if spec.dataset == "mixture":
+        mean_hi = np.zeros(d)
+        mean_hi[spec.mix_coord if spec.mix_coord >= 0 else d - 1] = spec.mix_sep
+        cov = spec.mix_std ** 2
+        return make_toy_dataset(
+            "gaussian_mixture", n, seed=seed,
+            weights=[0.5, 0.5], means=[mean_hi, -mean_hi], covs=[cov, cov],
+        )
+    # single-point dataset (memorization smoke runs)
+    return np.tile(np.full(d, spec.point_value), (n, 1))
+
+
+def gaussian_prior(spec: TaskSpec) -> Optional[oracle.GaussianBelief]:
+    """The exact prior of a gaussian or field dataset; None for the others."""
+    if spec.dataset == "gaussian":
+        return oracle.GaussianBelief(np.full(spec.d, spec.gauss_mean), spec.gauss_var * np.eye(spec.d))
+    if spec.dataset == "field":
+        mu, cov = field_prior(
+            spec.image_side, scale=spec.field_scale, amp=spec.field_amp, mean=spec.field_mean
+        )
+        return oracle.GaussianBelief(mu, cov)
+    return None

@@ -1,4 +1,4 @@
-"""Flat binary tensor files plus CSV import for small matrices.
+"""Flat binary tensor files.
 
 File layout: magic bytes ``SDBT``, a little-endian u32 rank, ``rank``
 little-endian u32 dimensions, then the row-major float64 payload,
@@ -87,31 +87,3 @@ def save_tensor(path, array) -> None:
 def load_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
         return read_tensor(fh)
-
-
-def load_matrix_csv(path) -> np.ndarray:
-    """Import a small dense matrix from comma-separated text.
-
-    One row per line, '.' decimal separator, no header.
-    """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise DimensionError(f"empty CSV matrix file: {path}")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise DimensionError(f"ragged CSV matrix file: {path}")
-    return np.asarray(rows, dtype=np.float64)
-
-
-def save_matrix_csv(path, array) -> None:
-    arr = np.atleast_2d(np.asarray(array, dtype=np.float64))
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in arr:
-            fh.write(",".join(repr(float(v)) for v in row))
-            fh.write("\n")

@@ -10,7 +10,7 @@ import pytest
 
 from sysbridge import cli, tensorio
 from sysbridge import denoiser as dn
-from sysbridge.config import parse_config, parse_config_text
+from sysbridge.config import parse_config, parse_config_text, serialize_config
 
 MEMORIZE_INI = """
 [run]
@@ -94,6 +94,12 @@ class TestConfigErrors:
     def test_missing_config_exit_2(self):
         assert cli.main(["train"]) == 2
 
+    def test_verify_takes_no_seed(self):
+        # the suites use fixed seeds: a --seed would be silently ignored
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "otode", "--seed", "3"])
+        assert exc.value.code == 2
+
 
 def _override(text, section, **keys):
     """The config text with ``keys`` set in ``section``."""
@@ -121,6 +127,19 @@ OUT_OF_RANGE = {
     "batch_size": ("train", MEMORIZE_INI, "train", {"batch_size": 0}),
     "mask_fraction": ("train", MEMORIZE_INI, "task", {"mask_fraction": 2}),
     "superres_factor": ("train", MEMORIZE_INI, "task", {"task": "superres", "image_side": 6, "factor": 4}),
+    "factor": ("train", MEMORIZE_INI, "task", {"task": "superres", "factor": 0}),
+    "signal_dim_image_task": ("train", MEMORIZE_INI, "task", {"signal_dim": 5}),
+    "n_train_zero": ("train", MEMORIZE_INI, "task", {"n_train": 0}),
+    "n_train_negative": ("train", MEMORIZE_INI, "task", {"n_train": -1}),
+    "seed": ("train", MEMORIZE_INI, "task", {"seed": -1}),
+    "gauss_var": ("train", GAUSS_TOY_INI, "task", {"gauss_var": -1}),
+    "mix_std": ("train", GAUSS_TOY_INI, "task", {"dataset": "mixture", "mix_std": 0}),
+    "field_scale": ("train", MEMORIZE_INI, "task", {"dataset": "field", "field_scale": 0}),
+    "sigma1_sq": ("train", MEMORIZE_INI, "task", {"task": "ct", "sigma1_sq": -1}),
+    "sigma2_sq": ("train", MEMORIZE_INI, "task", {"task": "mri", "sigma2_sq": -1}),
+    "latent_dim": ("train", MEMORIZE_INI, "task", {"task": "ct", "latent_dim": 0}),
+    "noise_var": ("train", GAUSS_TOY_INI, "task", {"noise_var": -1}),
+    "dense_m": ("train", GAUSS_TOY_INI, "task", {"dense_m": 0}),
     "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
     "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
 }
@@ -138,11 +157,51 @@ def test_out_of_range_value_exit_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+
+def _readme_example():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return readme.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_config_example_parses():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
-    cfg = parse_config_text(example)
+    cfg = parse_config_text(_readme_example())
     assert cfg.task.task == "mri" and cfg.eval.param == "lambda1"
+
+
+def test_readme_example_task_block():
+    # the [task] keys and their order are the config_resolved.ini format
+    text = serialize_config(parse_config_text(_readme_example()))
+    assert text.split("[task]\n", 1)[1].split("\n\n", 1)[0] == """\
+task = mri
+image_side = 16
+signal_dim = 0
+mask_fraction = 0.5
+factor = 4
+tau = 0.05
+sigma1_sq = 0.0001
+latent_dim = 16
+lambda1 = 16.0
+lambda2 = 30.0
+sigma2_sq = 0.05
+dense_m = 2
+noise_var = 0.0
+contrast_k = 4.0
+contrast_a = 0.5
+seed = 4
+dataset = blobs
+n_train = 2048
+data_seed = 21
+gauss_mean = 0.0
+gauss_var = 1.0
+field_scale = 3.0
+field_amp = 0.1
+field_mean = 0.5
+mix_sep = 2.0
+mix_std = 0.5
+mix_coord = -1
+point_value = 0.5"""
 
 
 class TestTrain:
@@ -261,6 +320,17 @@ class TestMisspec:
         rows = (dest / "metrics.csv").read_text().strip().splitlines()
         assert rows == ["run_id,task,variant,perturbation,psnr,ssim,n_samples,seed"]
 
+    def test_vector_task_exit_2(self, tmp_path, capsys):
+        # dense and contrast have no deployment-time perturbation
+        cfg, _ = write_config(tmp_path, GAUSS_TOY_INI)
+        ckpt = tmp_path / "net.ckpt"
+        dn.save_checkpoint(ckpt, dn.init_net(4, hidden=(8,)), parse_config(cfg).schedule)
+        capsys.readouterr()
+        code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--output", str(tmp_path / "mis")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
         "sweep",
@@ -432,6 +502,18 @@ class TestThreads:
             blobs.append([(dest / name).read_bytes() for name in ("samples.sdbt", "metrics.csv")])
         assert blobs[0] == blobs[1]
 
+    def test_train_bytes_independent_of_thread_count(self, tmp_path):
+        # a 16x16 field: the dataset draw is a 256-wide product with the
+        # Fourier basis, large enough for OpenBLAS to split it across threads
+        cfg, _ = write_config(tmp_path, _override(THREADS_INI, "task", image_side=16))
+        blobs = []
+        for threads in ("1", "2"):
+            dest = tmp_path / f"threads-{threads}"
+            assert cli.main(["train", "--config", str(cfg), "--output", str(dest),
+                             "--threads", threads]) == 0
+            blobs.append([(dest / name).read_bytes() for name in ("loss.csv", "checkpoint.ckpt")])
+        assert blobs[0] == blobs[1]
+
     def test_thread_count_restored_after_command(self):
         before = cli.set_blas_threads(1)
         if before is None:
@@ -447,11 +529,19 @@ class TestThreads:
 
 
 def test_config_roundtrip_identity(tmp_path):
-    from sysbridge.config import parse_config, parse_config_text, serialize_config
-
-    cfg, _ = write_config(tmp_path, GAUSS_TOY_INI)
-    parsed = parse_config(cfg)
-    assert parse_config_text(serialize_config(parsed)) == parsed
+    # one test over every config, so that its id stays what it was
+    configs = {
+        "gauss_toy": GAUSS_TOY_INI.format(out=tmp_path),
+        "contrast": CONTRAST_INI.format(out=tmp_path),
+        "memorize": MEMORIZE_INI.format(out=tmp_path),
+        "readme": _readme_example(),
+        "misspec_mri": (REPO / "configs" / "misspec_mri.ini").read_text(encoding="utf-8"),
+    }
+    for name, text in configs.items():
+        parsed = parse_config_text(text)
+        resolved = serialize_config(parsed)
+        assert parse_config_text(resolved) == parsed, name
+        assert serialize_config(parse_config_text(resolved)) == resolved, name
 
 
 CONTRAST_INI = """

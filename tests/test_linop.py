@@ -1,4 +1,4 @@
-"""Measurement-system algebra: pseudoinverse, projections, whitening."""
+"""Measurement-system algebra: pseudoinverse, projections."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sysbridge import linop
-from sysbridge.errors import DimensionError, InvalidCovarianceError, NumericalError
+from sysbridge.errors import DimensionError, NumericalError
 
 
 def random_system(seed, m=3, d=5, sigma=0.0):
@@ -92,12 +92,12 @@ class TestReconstruction:
     def test_identity(self):
         sys = linop.identity_system(3)
         y = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_allclose(linop.pseudoinverse_reconstruction(sys, y), y)
+        np.testing.assert_allclose(sys.apply_pinv(y), y)
 
     def test_null_component_zero(self):
         sys = random_system(8, m=2, d=6)
         y = np.random.default_rng(9).standard_normal(2)
-        recon = linop.pseudoinverse_reconstruction(sys, y)
+        recon = sys.apply_pinv(y)
         np.testing.assert_allclose(linop.project_null(sys, recon), 0.0, atol=1e-10)
 
     def test_least_squares_optimality(self):
@@ -106,54 +106,11 @@ class TestReconstruction:
         rng = np.random.default_rng(11)
         x = rng.standard_normal(6)
         y = sys.apply(x)
-        recon = linop.pseudoinverse_reconstruction(sys, y)
+        recon = sys.apply_pinv(y)
         base = np.linalg.norm(sys.apply(recon) - y)
         for _ in range(20):
             cand = recon + linop.project_null(sys, rng.standard_normal(6))
             assert np.linalg.norm(sys.apply(cand) - y) >= base - 1e-9
-
-
-class TestWhiten:
-    def test_identity_noise_unchanged(self):
-        sys = random_system(12, sigma=1.0)
-        white = linop.whiten(sys)
-        np.testing.assert_allclose(linop.materialize(white), linop.materialize(sys))
-
-    def test_scalar_noise_scales_operator(self):
-        sys = random_system(13, sigma=np.sqrt(5.0))
-        white = linop.whiten(sys)
-        np.testing.assert_allclose(
-            linop.materialize(white), linop.materialize(sys) / np.sqrt(5.0)
-        )
-        eye = white.noise_scale(np.eye(sys.m))
-        np.testing.assert_allclose(eye, np.eye(sys.m))
-
-    def test_dense_diagonal_factor(self):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((2, 4))
-        s_half = np.diag([1.0, 2.0])
-        sys = linop.build_dense_system(a, sigma_half=s_half)
-        white = linop.whiten(sys)
-        np.testing.assert_allclose(
-            linop.materialize(white), a * np.array([[1.0], [0.5]]), atol=1e-12
-        )
-
-    def test_noiseless_returned_unchanged(self):
-        sys = random_system(15, sigma=0.0)
-        assert linop.whiten(sys) is sys
-
-    def test_negative_covariance_rejected(self):
-        with pytest.raises(InvalidCovarianceError):
-            linop._inv_sqrt_psd(np.diag([1.0, -1.0]))
-
-    def test_whitened_noise_covariance_monte_carlo(self):
-        sys = random_system(16, m=2, d=3, sigma=np.sqrt(5.0))
-        white = linop.whiten(sys)
-        rng = np.random.default_rng(17)
-        x = rng.standard_normal(3)
-        draws = white.apply(x) + white.noise_scale(rng.standard_normal((100_000, 2)))
-        cov = np.cov(draws.T)
-        np.testing.assert_allclose(cov, np.eye(2), atol=0.05)
 
 
 class TestDegenerate:
@@ -163,7 +120,7 @@ class TestDegenerate:
         np.testing.assert_allclose(linop.project_range(sys, x), 0.0)
         np.testing.assert_allclose(linop.project_null(sys, x), x)
         np.testing.assert_allclose(
-            linop.pseudoinverse_reconstruction(sys, np.ones(2)), np.zeros(3)
+            sys.apply_pinv(np.ones(2)), np.zeros(3)
         )
 
 

@@ -158,18 +158,27 @@ class TestStructure:
 
 
 class TestTerminalLimits:
+    """(gamma, alpha^2 / beta) at the clipped terminal time 1 - eps1: the
+    reverse sampler is posterior-consistent when gamma approaches 1 and
+    alpha^2 / beta approaches 0 there."""
+
+    @staticmethod
+    def limits(spec):
+        c = schedule.evaluate(spec, spec.t_max)
+        return c.gamma, c.alpha * c.alpha / c.beta
+
     def test_vp(self):
-        gamma, ratio = schedule.terminal_limits(schedule.ScheduleSpec("vp"))
+        gamma, ratio = self.limits(schedule.ScheduleSpec("vp"))
         assert gamma == pytest.approx(math.sqrt(0.999), rel=1e-9)
         assert ratio == pytest.approx(1e-6 / math.sqrt(0.999), rel=1e-9)
 
     def test_ve_needs_large_sigma_max(self):
-        gamma, ratio = schedule.terminal_limits(schedule.ScheduleSpec("ve", sigma_max=50.0))
+        gamma, ratio = self.limits(schedule.ScheduleSpec("ve", sigma_max=50.0))
         assert gamma == pytest.approx(math.sqrt(0.999), rel=1e-9)
         assert ratio == pytest.approx(1.0 / (50.0 * math.sqrt(0.999)), rel=1e-9)
 
     def test_sb_constant(self):
         spec = schedule.ScheduleSpec("sb", b0=0.2, b1=0.2)
-        gamma, ratio = schedule.terminal_limits(spec)
+        gamma, ratio = self.limits(spec)
         assert gamma == pytest.approx(0.999, rel=1e-9)
         assert ratio == pytest.approx(1e-3 ** 2 / (0.2 * 0.999 * 1e-3), rel=1e-6)

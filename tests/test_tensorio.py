@@ -142,25 +142,3 @@ def test_bad_tensor_file_raises_value_or_os_error(tmp_path, fault):
     expected = OSError if fault == "missing_file" else DimensionError
     with pytest.raises(expected):
         tensorio.load_tensor(path)
-
-
-def test_csv_import(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1.5,2.0\n-3.25,4.0\n", encoding="utf-8")
-    np.testing.assert_array_equal(
-        tensorio.load_matrix_csv(path), [[1.5, 2.0], [-3.25, 4.0]]
-    )
-
-
-def test_csv_roundtrip(tmp_path):
-    arr = np.array([[0.1, -2.0, 3.0], [4.5, 5.0, -6.75]])
-    path = tmp_path / "m.csv"
-    tensorio.save_matrix_csv(path, arr)
-    np.testing.assert_array_equal(tensorio.load_matrix_csv(path), arr)
-
-
-def test_ragged_csv_rejected(tmp_path):
-    path = tmp_path / "m.csv"
-    path.write_text("1,2\n3\n", encoding="utf-8")
-    with pytest.raises(DimensionError):
-        tensorio.load_matrix_csv(path)
