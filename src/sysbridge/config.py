@@ -8,9 +8,10 @@ resolved configuration.
 
 The ``[task]`` section is a `TaskSpec`, ``[schedule]`` a `ScheduleSpec`
 and ``[train]`` a `TrainConfig`, so their checks run at parse time; so do
-those of the `SamplerConfig`, built from its sections by one mapping below.
-A field's key is its name unless its ``ini`` metadata names another.  Any
-rejected value is a `ConfigError`.
+those of the `SamplerConfig`, built from its sections by one mapping below,
+and of ``[sample]`` and ``[eval]``.  A field's key is its name unless its
+``ini`` metadata names another.  Any rejected value is a `ConfigError`,
+also when `with_seed` sets a seed from the command line.
 """
 
 from __future__ import annotations
@@ -46,6 +47,10 @@ class SampleSection:
     keep_every: int = 0
     time_grid: str = "uniform"
 
+    def __post_init__(self):
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+
 
 @dataclass(frozen=True)
 class EvalSection:
@@ -53,6 +58,12 @@ class EvalSection:
     values: Tuple[float, ...] = ()
     n_draws: int = 50
     seed: int = 0
+
+    def __post_init__(self):
+        if self.param not in ("",) + SWEEP_PARAMS:
+            raise ValueError(f"unknown sweep parameter {self.param!r}")
+        if self.n_draws < 1 or self.seed < 0:
+            raise ValueError("n_draws >= 1 and seed >= 0 required")
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,10 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     sample: SampleSection = field(default_factory=SampleSection)
     eval: EvalSection = field(default_factory=EvalSection)
+
+    def __post_init__(self):
+        # build the sampler config the run will build, so that its checks run now
+        self.sampler_config
 
     @property
     def sampler_config(self) -> SamplerConfig:
@@ -141,9 +156,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid [{section}] section: {exc}") from exc
 
-    cfg = ExperimentConfig(**sections)
-    _validate(cfg)
-    return cfg
+    try:
+        return ExperimentConfig(**sections)
+    except ValueError as exc:
+        raise ConfigError(f"invalid [sample] section: {exc}") from exc
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -155,14 +171,14 @@ def parse_config(path) -> ExperimentConfig:
     return parse_config_text(text)
 
 
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.eval.param not in ("",) + SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {cfg.eval.param!r}")
-    # build the sampler config the run will build, so that its checks run now
+def with_seed(cfg: ExperimentConfig, section: str, seed: int) -> ExperimentConfig:
+    """cfg with ``seed`` as the seed of ``section``, checked as at parse time."""
     try:
-        cfg.sampler_config
+        return dataclasses.replace(
+            cfg, **{section: dataclasses.replace(getattr(cfg, section), seed=seed)}
+        )
     except ValueError as exc:
-        raise ConfigError(f"invalid [sample] section: {exc}") from exc
+        raise ConfigError(f"invalid --seed {seed} for [{section}]: {exc}") from exc
 
 
 def _format_value(value) -> str:

@@ -189,6 +189,8 @@ class TrainConfig:
             raise ValueError("adam betas must lie in [0, 1)")
         if self.batch_size < 1 or self.n_epochs < 0:
             raise ValueError("batch_size >= 1 and n_epochs >= 0 required")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if any(width < 1 for width in self.hidden):
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.activation not in ACTIVATIONS:

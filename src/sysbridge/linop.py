@@ -21,12 +21,15 @@ m-wide one.  Every other system (matrix noise, a decaying spectrum as in
 truncated_svd) draws e in measurement space.  `update_noise` holds this
 rule and the draw order for all three callers.
 
-All downstream math consumes operators through closures (`apply`,
-`apply_pinv`, `noise_scale`) so structured systems never
-materialize dense matrices in the hot path.  Dense matrices appear only at
-construction time (for the SVD) and in test oracles.  Every closure is
-vectorized over leading axes: inputs of shape (..., d) map to (..., m) and
-vice versa.
+A `LinearSystem` states each map once: A through `apply` and
+`apply_pinv`, S through `sigma_half`, and kappa; its `noise_scale`
+closure is built from `sigma_half`.  All downstream math consumes
+operators through closures (`apply`, `apply_pinv`, `noise_scale`) so
+structured systems never materialize dense matrices in the hot path.
+Dense matrices appear only at construction time (for the SVD) and in test
+oracles.  Every closure is vectorized over leading axes: inputs of shape
+(..., d) map to (..., m) and vice versa, and a wrong last axis is a
+`DimensionError` (`_check_last_axis`).
 """
 
 from __future__ import annotations
@@ -56,30 +59,32 @@ class LinearSystem:
         Measurement and signal dimensions.
     apply, apply_pinv:
         Actions of A and A+.  Vectorized over leading axes; each returns a
-        new array.
-    noise_scale:
-        Action of the covariance square root S on a measurement-space
-        vector; the zero function when the system is noiseless.
-    kind:
-        One of dense, mask, avgpool, truncated_svd, fourier_mask,
-        linearized.
+        new array and refuses a wrong last axis with `DimensionError`.
     sigma_half:
-        Backing representation of S: a scalar s meaning s * I, or a dense
-        m x m factor.  Used by `range_noise_gain` and by dense test oracles.
+        The covariance square root S: a scalar s meaning s * I, or a dense
+        m x m factor.  Zero, the default, for a noiseless system.
     kappa:
         The kappa with A+ A+^T = kappa A+ A when every nonzero singular
         value of A is equal (1 / s^2 for the common value s), else None.
         Dense systems under matrix noise, which never use it, carry None.
+    noise_scale:
+        Action of S on a measurement-space vector, built from `sigma_half`
+        by `make_noise_scale` unless a closure is passed in (as a tracer
+        does through `dataclasses.replace`; a replace that changes
+        `sigma_half` passes ``noise_scale=None`` to rebuild it).
     """
 
     m: int
     d: int
     apply: Callable[[np.ndarray], np.ndarray]
     apply_pinv: Callable[[np.ndarray], np.ndarray]
-    noise_scale: Callable[[np.ndarray], np.ndarray]
-    kind: str
     sigma_half: SigmaHalf = 0.0
     kappa: Optional[float] = None
+    noise_scale: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.noise_scale is None:
+            object.__setattr__(self, "noise_scale", make_noise_scale(self.sigma_half, self.m))
 
     @property
     def noise_is_zero(self) -> bool:
@@ -212,19 +217,14 @@ def update_noise(sys: LinearSystem, rng, shape, range_scale=None):
     return rng.standard_normal(shape), None, range_noise
 
 
-def _sigma_half_matrix(sigma_half: SigmaHalf, m: int) -> np.ndarray:
+def make_noise_scale(sigma_half: SigmaHalf, m: int):
+    """The action of S on measurement-space vectors; a matrix S must be m x m."""
     if isinstance(sigma_half, np.ndarray):
         if sigma_half.shape != (m, m):
             raise DimensionError(
                 f"sigma_half: expected ({m}, {m}), got {sigma_half.shape}"
             )
-        return sigma_half.astype(np.float64)
-    return float(sigma_half) * np.eye(m)
-
-
-def make_noise_scale(sigma_half: SigmaHalf, m: int):
-    if isinstance(sigma_half, np.ndarray):
-        s = _sigma_half_matrix(sigma_half, m)
+        s = sigma_half.astype(np.float64)
 
         def noise_scale(eps):
             eps = _check_last_axis(eps, m, "noise_scale")
@@ -243,20 +243,15 @@ def make_noise_scale(sigma_half: SigmaHalf, m: int):
 def build_dense_system(
     a: np.ndarray,
     sigma_half: SigmaHalf = 0.0,
-    kind: str = "dense",
     cutoff: float = DEFAULT_CUTOFF,
 ) -> LinearSystem:
-    """Back every LinearSystem closure with dense multiplies.
+    """Back A and A+ with dense multiplies.
 
     The pseudoinverse is computed once at construction via SVD; the same
     singular values decide `kappa` (set for scalar noise only).
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, d = a.shape
-    if isinstance(sigma_half, np.ndarray) and sigma_half.shape != (m, m):
-        raise DimensionError(
-            f"build_dense_system: sigma_half shape {sigma_half.shape} != ({m}, {m})"
-        )
     a_pinv, s = _pinv_and_spectrum(a, cutoff)
     kappa = None
     if not isinstance(sigma_half, np.ndarray):
@@ -273,8 +268,6 @@ def build_dense_system(
         d=d,
         apply=apply,
         apply_pinv=apply_pinv,
-        noise_scale=make_noise_scale(sigma_half, m),
-        kind=kind,
         sigma_half=sigma_half,
         kappa=kappa,
     )

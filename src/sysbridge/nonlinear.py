@@ -15,8 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, NumericalError
-from .linop import DEFAULT_CUTOFF, LinearSystem, build_dense_system
+from .errors import CapacityError, NumericalError
+from .linop import DEFAULT_CUTOFF, LinearSystem, _check_last_axis, build_dense_system
 
 MAX_JACOBIAN_DIM = 256
 
@@ -35,7 +35,6 @@ class NonlinearSystem:
     apply: Callable[[np.ndarray], np.ndarray]
     jvp: Callable[[np.ndarray, np.ndarray], np.ndarray]
     vjp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    has_analytic_jacobian: bool = False
 
 
 def sigmoid_contrast_system(d: int, k: float = 4.0, a: float = 0.5) -> NonlinearSystem:
@@ -45,10 +44,7 @@ def sigmoid_contrast_system(d: int, k: float = 4.0, a: float = 0.5) -> Nonlinear
         return 1.0 / (1.0 + np.exp(-z))
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != d:
-            raise DimensionError(f"apply: expected last axis {d}, got {x.shape}")
-        return _sig(k * (x - a))
+        return _sig(k * (_check_last_axis(x, d, "apply") - a))
 
     def _deriv(x):
         s = _sig(k * (np.asarray(x, dtype=np.float64) - a))
@@ -60,7 +56,6 @@ def sigmoid_contrast_system(d: int, k: float = 4.0, a: float = 0.5) -> Nonlinear
         apply=apply,
         jvp=lambda x, v: _deriv(x) * np.asarray(v, dtype=np.float64),
         vjp=lambda x, u: _deriv(x) * np.asarray(u, dtype=np.float64),
-        has_analytic_jacobian=True,
     )
 
 
@@ -76,7 +71,6 @@ def affine_system(a: np.ndarray, b=None) -> NonlinearSystem:
         apply=lambda x: np.asarray(x, dtype=np.float64) @ a.T + offset,
         jvp=lambda x, v: np.asarray(v, dtype=np.float64) @ a.T,
         vjp=lambda x, u: np.asarray(u, dtype=np.float64) @ a,
-        has_analytic_jacobian=True,
     )
 
 
@@ -133,7 +127,7 @@ def linearize(
 ) -> LinearSystem:
     """Dense linear system backed by the Jacobian at x_hat."""
     jac = jacobian_matrix(nsys, x_hat)
-    return build_dense_system(jac, sigma_half=sigma_half, kind="linearized", cutoff=cutoff)
+    return build_dense_system(jac, sigma_half=sigma_half, cutoff=cutoff)
 
 
 def linearized_measurement(nsys: NonlinearSystem, sys: LinearSystem, x_hat, y) -> np.ndarray:

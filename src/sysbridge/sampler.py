@@ -79,6 +79,8 @@ class SamplerConfig:
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.keep_every < 0:
             raise ValueError("keep_every must be >= 0")
         if self.time_grid not in TIME_GRIDS:
@@ -96,7 +98,6 @@ def _log_snr(spec: ScheduleSpec, t: float) -> float:
     return 2.0 * np.log(c.alpha) - np.log(c.beta)
 
 
-@lru_cache(maxsize=32)
 def _stiffness_grid(spec: ScheduleSpec, n_steps: int):
     """Grid uniform in the clock ln(alpha^2 / beta), highest time first.
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from . import nonlinear, oracle
 from .errors import DimensionError
-from .linop import LinearSystem, build_dense_system, make_noise_scale
+from .linop import LinearSystem, _check_last_axis, build_dense_system
 
 TASKS = ("inpainting", "superres", "ct", "mri")   # the image tasks
 VECTOR_TASKS = ("dense", "contrast")
@@ -168,19 +168,13 @@ def _inpainting_system(spec: TaskSpec) -> LinearSystem:
     mask[rng.permutation(d)[:n_masked]] = 0.0
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != d:
-            raise DimensionError(f"apply: expected last axis {d}, got {x.shape}")
-        return x * mask
+        return _check_last_axis(x, d, "apply") * mask
 
     return LinearSystem(
         m=d,
         d=d,
         apply=apply,
         apply_pinv=apply,
-        noise_scale=make_noise_scale(0.0, d),
-        kind="mask",
-        sigma_half=0.0,
         kappa=1.0,
     )
 
@@ -192,17 +186,13 @@ def _superres_system(spec: TaskSpec) -> LinearSystem:
     m = low * low
 
     def pool(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != d:
-            raise DimensionError(f"apply: expected last axis {d}, got {x.shape}")
+        x = _check_last_axis(x, d, "apply")
         lead = x.shape[:-1]
         img = x.reshape(lead + (low, k, low, k))
         return img.mean(axis=(-3, -1)).reshape(lead + (m,))
 
     def replicate(y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1] != m:
-            raise DimensionError(f"apply_pinv: expected last axis {m}, got {y.shape}")
+        y = _check_last_axis(y, m, "apply_pinv")
         lead = y.shape[:-1]
         img = y.reshape(lead + (low, 1, low, 1)) * np.ones((1, k, 1, k))
         return img.reshape(lead + (d,))
@@ -212,9 +202,6 @@ def _superres_system(spec: TaskSpec) -> LinearSystem:
         d=d,
         apply=pool,
         apply_pinv=replicate,
-        noise_scale=make_noise_scale(0.0, m),
-        kind="avgpool",
-        sigma_half=0.0,
         kappa=float(k * k),
     )
 
@@ -235,26 +222,17 @@ def _ct_system(spec: TaskSpec) -> LinearSystem:
     s_inv = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), 0.0)
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != d:
-            raise DimensionError(f"apply: expected last axis {d}, got {x.shape}")
-        return ((x @ v) * s) @ u.T
+        return ((_check_last_axis(x, d, "apply") @ v) * s) @ u.T
 
     def apply_pinv(y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1] != d:
-            raise DimensionError(f"apply_pinv: expected last axis {d}, got {y.shape}")
-        return ((y @ u) * s_inv) @ v.T
+        return ((_check_last_axis(y, d, "apply_pinv") @ u) * s_inv) @ v.T
 
-    sigma_half = math.sqrt(spec.sigma1_sq)
     return LinearSystem(
         m=d,
         d=d,
         apply=apply,
         apply_pinv=apply_pinv,
-        noise_scale=make_noise_scale(sigma_half, d),
-        kind="truncated_svd",
-        sigma_half=sigma_half,
+        sigma_half=math.sqrt(spec.sigma1_sq),
     )
 
 
@@ -314,27 +292,18 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
     m = a.shape[0]
 
     def apply(x):
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape[-1] != side * side:
-            raise DimensionError(f"apply: expected last axis {side * side}, got {x.shape}")
-        return x @ a.T
+        return _check_last_axis(x, side * side, "apply") @ a.T
 
     def apply_pinv(y):
         # orthonormal rows: A+ = A^T
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[-1] != m:
-            raise DimensionError(f"apply_pinv: expected last axis {m}, got {y.shape}")
-        return y @ a
+        return _check_last_axis(y, m, "apply_pinv") @ a
 
-    sigma_half = math.sqrt(sigma_sq)
     return LinearSystem(
         m=m,
         d=side * side,
         apply=apply,
         apply_pinv=apply_pinv,
-        noise_scale=make_noise_scale(sigma_half, m),
-        kind="fourier_mask",
-        sigma_half=sigma_half,
+        sigma_half=math.sqrt(sigma_sq),
         kappa=1.0,
     )
 

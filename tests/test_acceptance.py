@@ -262,7 +262,7 @@ def test_criterion_11_nonlinear_extension():
     a = rng.standard_normal((2, 4))
     x_lin = rng.standard_normal(4)
     y_lin = a @ x_lin
-    direct = linop.build_dense_system(a, kind="linearized")
+    direct = linop.build_dense_system(a)
     reduced_sys, reduced_y, _ = nonlinear.localize(nonlinear.affine_system(a), y_lin)
     spec = schedule.ScheduleSpec("sb")
     cfg = sampler.SamplerConfig(n_steps=60, spec=spec, seed=5)

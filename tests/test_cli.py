@@ -142,6 +142,14 @@ OUT_OF_RANGE = {
     "dense_m": ("train", GAUSS_TOY_INI, "task", {"dense_m": 0}),
     "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
     "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
+    "train_seed": ("train", MEMORIZE_INI, "train", {"seed": -1}),
+    "sample_seed": ("sample", GAUSS_TOY_INI, "sample", {"seed": -1}),
+    "n_samples_negative": ("sample", GAUSS_TOY_INI, "sample", {"n_samples": -1}),
+    "n_samples_zero": ("sample", GAUSS_TOY_INI, "sample", {"n_samples": 0}),
+    # [eval] is read by misspec only, but checked whatever the command
+    "eval_seed": ("train", MEMORIZE_INI, "eval", {"seed": -1}),
+    "n_draws_negative": ("train", MEMORIZE_INI, "eval", {"n_draws": -1}),
+    "n_draws_zero": ("train", MEMORIZE_INI, "eval", {"n_draws": 0}),
 }
 
 
@@ -152,6 +160,25 @@ def test_out_of_range_value_exit_2_with_one_line(tmp_path, capsys, case):
     extra = ["--oracle-denoiser", "--simulate"] if command == "sample" else []
     capsys.readouterr()
     code = cli.main([command, "--config", str(cfg), *extra])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["train", "sample", "misspec"])
+def test_negative_seed_flag_exit_2_with_one_line(tmp_path, capsys, command):
+    cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+    ckpt = tmp_path / "net.ckpt"
+    net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
+    dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+    extra = {
+        "train": [],
+        "sample": ["--checkpoint", str(ckpt), "--simulate"],
+        "misspec": ["--checkpoint", str(ckpt)],
+    }[command]
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(cfg), "--seed", "-1",
+                     "--output", str(tmp_path / "run"), *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1, err

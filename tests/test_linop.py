@@ -1,5 +1,7 @@
 """Measurement-system algebra: pseudoinverse, projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -128,3 +130,27 @@ def test_svd_failure_reports_dimensions():
     bad = np.array([[1.0, np.inf]])
     with pytest.raises((DimensionError, NumericalError)):
         linop.pseudoinverse(bad)
+
+
+class TestNoiseFactor:
+    def test_matrix_sigma_half_is_materialized(self):
+        s = np.array([[0.5, 0.0], [0.2, 0.3]])
+        sys = linop.build_dense_system(np.ones((2, 3)), sigma_half=s)
+        np.testing.assert_array_equal(linop.materialize_noise_half(sys), s)
+
+    def test_scalar_sigma_half_is_materialized(self):
+        sys = linop.identity_system(3, sigma_half=0.7)
+        np.testing.assert_array_equal(linop.materialize_noise_half(sys), 0.7 * np.eye(3))
+
+    def test_matrix_of_the_wrong_shape_refused(self):
+        with pytest.raises(DimensionError):
+            linop.build_dense_system(np.ones((2, 3)), sigma_half=np.eye(3))
+
+    def test_replaced_noise_scale_is_kept(self):
+        sys = random_system(0, sigma=0.4)
+
+        def noise_scale(eps):
+            return eps
+
+        assert dataclasses.replace(sys, noise_scale=noise_scale).noise_scale is noise_scale
+        assert dataclasses.replace(sys, kappa=None).noise_scale is sys.noise_scale

@@ -132,7 +132,7 @@ def test_three_step_reduction_matches_direct_pipeline():
     x_true = rng.standard_normal(4)
     y = a @ x_true
 
-    direct_sys = linop.build_dense_system(a, kind="linearized")
+    direct_sys = linop.build_dense_system(a)
     nsys = nonlinear.affine_system(a)
     lin_sys, y_lin, _ = nonlinear.localize(nsys, y)
 

@@ -289,3 +289,31 @@ class TestFieldPrior:
         assert coeff_var[0] == pytest.approx(0.2, rel=1e-6)
         assert coeff_var[-1] < coeff_var[0] / 1000.0
         del basis
+
+
+# one small spec per task, each with its noise standard deviation
+SIX_TASKS = {
+    "inpainting": (tasks.TaskSpec("inpainting", image_side=4, seed=3), 0.0),
+    "superres": (tasks.TaskSpec("superres", image_side=4, factor=2), 0.0),
+    "ct": (tasks.TaskSpec("ct", image_side=4, sigma1_sq=0.09, seed=3), 0.3),
+    "mri": (tasks.TaskSpec("mri", image_side=4, sigma2_sq=0.25, seed=3), 0.5),
+    "dense": (tasks.TaskSpec("dense", signal_dim=5, dataset="gaussian", noise_var=0.04), 0.2),
+    "contrast": (tasks.TaskSpec("contrast", image_side=3, noise_var=0.01), 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIX_TASKS))
+def test_operators_refuse_a_wrong_last_axis(name):
+    sys = tasks.build_system(SIX_TASKS[name][0])
+    with pytest.raises(DimensionError):
+        sys.apply(np.zeros((2, sys.d + 1)))
+    with pytest.raises(DimensionError):
+        sys.apply_pinv(np.zeros((2, sys.m + 1)))
+
+
+@pytest.mark.parametrize("name", sorted(SIX_TASKS))
+def test_noise_factor_is_sigma_half_times_identity(name):
+    spec, sigma = SIX_TASKS[name]
+    sys = tasks.build_system(spec)
+    assert sys.sigma_half == pytest.approx(sigma)
+    np.testing.assert_array_equal(linop.materialize_noise_half(sys), sys.sigma_half * np.eye(sys.m))
