@@ -16,12 +16,13 @@ import functools
 import sys as _sys
 import time
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
 from . import denoiser as dn
 from . import oracle, sampler, tasks, tensorio, verification
-from .config import ExperimentConfig, parse_config, serialize_config, with_seed
+from .config import ExperimentConfig, parse_config, parse_value, serialize_config, with_seed
 from .errors import ConfigError, NumericalError
 from .schedule import ScheduleSpec
 
@@ -70,8 +71,8 @@ def set_blas_threads(n: int):
     return previous
 
 
-def _prepare_output_dir(cfg: ExperimentConfig, override) -> Path:
-    out = Path(override) if override else Path(cfg.run.output_dir)
+def _prepare_output_dir(path) -> Path:
+    out = Path(path)
     if not out.parent.exists():
         raise ConfigError(f"output directory parent does not exist: {out.parent}")
     out.mkdir(exist_ok=True)
@@ -114,7 +115,7 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, "train", args.seed)
-    out = _prepare_output_dir(cfg, args.output)
+    out = _prepare_output_dir(args.output or cfg.run.output_dir)
     _snapshot(cfg, out)
     _log(out, f"train start run_id={cfg.run.run_id}")
 
@@ -181,7 +182,7 @@ def cmd_sample(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, "sample", args.seed)
-    out = _prepare_output_dir(cfg, args.output)
+    out = _prepare_output_dir(args.output or cfg.run.output_dir)
     _snapshot(cfg, out)
     _log(out, "sample start")
 
@@ -198,11 +199,10 @@ def cmd_sample(args) -> int:
             raise ConfigError("sample requires --checkpoint (or --oracle-denoiser)")
         denoise = _checkpoint_denoiser(args.checkpoint, spec, sys_.d)
 
-    smp = cfg.sample
-    rng = np.random.default_rng(smp.seed)
+    rng = np.random.default_rng(cfg.sample.seed)
     x_truth = None
     if args.simulate:
-        x_truth = tasks.make_dataset(cfg.task, smp.n_samples, smp.seed + 1)
+        x_truth = tasks.make_dataset(cfg.task, cfg.sample.n_samples, cfg.sample.seed + 1)
         clean = sys_.apply(x_truth)
         y = clean + sys_.noise_scale(rng.standard_normal(clean.shape))
         if args.oracle_denoiser:
@@ -213,12 +213,11 @@ def cmd_sample(args) -> int:
     else:
         raise ConfigError("sample requires --simulate or --measurements PATH")
 
-    scfg = cfg.sampler_config
-    n_chains = smp.n_samples if (args.oracle_denoiser and args.simulate) else 1
+    n_chains = cfg.sample.n_samples if (args.oracle_denoiser and args.simulate) else 1
     if n_chains > 1:
-        trace = sampler.sample(sys_, scfg, y[0], denoise, n_chains=n_chains, rng=rng)
+        trace = sampler.sample(sys_, cfg.sample, y[0], denoise, n_chains=n_chains, rng=rng)
     else:
-        trace = sampler.sample(sys_, scfg, y, denoise, rng=rng)
+        trace = sampler.sample(sys_, cfg.sample, y, denoise, rng=rng)
     samples = np.atleast_2d(trace.final)
 
     tensorio.save_tensor(out / "samples.sdbt", samples)
@@ -235,7 +234,7 @@ def cmd_sample(args) -> int:
                     tasks.psnr(samples[i], x_truth[i]),
                     _maybe_ssim(cfg, samples[i], x_truth[i]),
                     1,
-                    smp.seed,
+                    cfg.sample.seed,
                 )
             )
     _write_csv(out / "metrics.csv", _METRIC_HEADER, rows)
@@ -265,18 +264,13 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     name = args.suite
     if name not in verification.SUITES:
-        print(f"unknown suite {name!r}, expected one of {tuple(verification.SUITES)}", file=_sys.stderr)
-        return EXIT_USAGE
+        raise ConfigError(f"unknown suite {name!r}, expected one of {tuple(verification.SUITES)}")
+    out = _prepare_output_dir(args.output) if args.output else None
     results = verification.SUITES[name]()
     rows = [
         [r.suite, r.check, r.status, _fmt(r.value), _fmt(r.tolerance)] for r in results
     ]
-    if args.output:
-        out = Path(args.output)
-        if not out.parent.exists():
-            print(f"output parent does not exist: {out.parent}", file=_sys.stderr)
-            return EXIT_USAGE
-        out.mkdir(exist_ok=True)
+    if out is not None:
         _write_csv(out / f"verify_{name}.csv", ["suite", "check", "status", "value", "tolerance"], rows)
     for row in rows:
         print(",".join(str(v) for v in row))
@@ -287,16 +281,13 @@ def cmd_misspec(args) -> int:
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, "eval", args.seed)
-    out = _prepare_output_dir(cfg, args.output)
+    out = _prepare_output_dir(args.output or cfg.run.output_dir)
     _snapshot(cfg, out)
     _log(out, "misspec start")
 
     param = args.param if args.param else cfg.eval.param
     if args.values:
-        try:
-            values = tuple(float(v) for v in args.values.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --values {args.values!r}: {exc}") from exc
+        values = parse_value("--values", args.values, Tuple[float, ...])
     else:
         values = cfg.eval.values
 
@@ -315,7 +306,6 @@ def cmd_misspec(args) -> int:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc
     train_sys = tasks.build_system(cfg.task)
     denoise = _checkpoint_denoiser(args.checkpoint, cfg.schedule, train_sys.d)
-    scfg = cfg.sampler_config
     rows, summary = [], []
     for value, (deployed, generate) in zip(values, deployments):
         rng = np.random.default_rng(cfg.eval.seed)
@@ -325,7 +315,7 @@ def cmd_misspec(args) -> int:
         # training-time system: the checkpoint never sees the perturbed one
         recon = deployed.apply_pinv(y_deploy)
         y_embedded = train_sys.apply(recon)
-        samples = np.atleast_2d(sampler.sample(train_sys, scfg, y_embedded, denoise, rng=rng).final)
+        samples = np.atleast_2d(sampler.sample(train_sys, cfg.sample, y_embedded, denoise, rng=rng).final)
         psnrs = np.array([tasks.psnr(samples[i], x0[i]) for i in range(len(x0))])
         ssims = [
             _maybe_ssim(cfg, samples[i], x0[i]) for i in range(len(x0))

@@ -6,20 +6,23 @@ are rejected so that a config snapshot written next to experiment outputs
 is always replayable.  parse -> serialize -> parse is the identity on the
 resolved configuration.
 
-The ``[task]`` section is a `TaskSpec`, ``[schedule]`` a `ScheduleSpec`
-and ``[train]`` a `TrainConfig`, so their checks run at parse time; so do
-those of the `SamplerConfig`, built from its sections by one mapping below,
-and of ``[sample]`` and ``[eval]``.  A field's key is its name unless its
-``ini`` metadata names another.  Any rejected value is a `ConfigError`,
-also when `with_seed` sets a seed from the command line.
+The ``[task]`` section is a `TaskSpec`, ``[schedule]`` a `ScheduleSpec`,
+``[train]`` a `TrainConfig` and ``[sample]`` a `SamplerConfig`, whose
+schedule is the ``[schedule]`` section, so their checks run at parse time;
+so do those of ``[eval]``.  The sections and their order are the fields of
+`ExperimentConfig`; an absent section takes its defaults.  A field's key is
+its name unless its ``ini`` metadata names another, or none.  A float that
+is not finite is refused.  Any rejected value is a `ConfigError`, also when
+`with_seed` sets a seed from the command line.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import math
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 from .denoiser import TrainConfig
@@ -39,20 +42,6 @@ class RunSection:
 
 
 @dataclass(frozen=True)
-class SampleSection:
-    n_steps: int = 100
-    n_samples: int = 16
-    seed: int = 0
-    range_lock: bool = True
-    keep_every: int = 0
-    time_grid: str = "uniform"
-
-    def __post_init__(self):
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-
-
-@dataclass(frozen=True)
 class EvalSection:
     param: str = ""
     values: Tuple[float, ...] = ()
@@ -68,46 +57,33 @@ class EvalSection:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    run: RunSection = field(default_factory=RunSection)
-    task: TaskSpec = field(default_factory=TaskSpec)
-    schedule: ScheduleSpec = field(default_factory=ScheduleSpec)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    sample: SampleSection = field(default_factory=SampleSection)
-    eval: EvalSection = field(default_factory=EvalSection)
+    """A parsed config: each field is a section, in the order they are written."""
 
-    def __post_init__(self):
-        # build the sampler config the run will build, so that its checks run now
-        self.sampler_config
-
-    @property
-    def sampler_config(self) -> SamplerConfig:
-        s = self.sample
-        return SamplerConfig(
-            n_steps=s.n_steps,
-            spec=self.schedule,
-            noiseless_range_lock=s.range_lock,
-            seed=s.seed,
-            keep_every=s.keep_every,
-            time_grid=s.time_grid,
-        )
+    run: RunSection
+    task: TaskSpec
+    schedule: ScheduleSpec
+    train: TrainConfig
+    sample: SamplerConfig
+    eval: EvalSection
 
 
-_SECTIONS = {
-    "run": RunSection,
-    "task": TaskSpec,
-    "schedule": ScheduleSpec,
-    "train": TrainConfig,
-    "sample": SampleSection,
-    "eval": EvalSection,
-}
+_SECTIONS = typing.get_type_hints(ExperimentConfig)
 
 
-def _key(f: dataclasses.Field) -> str:
-    """The config key of a section field."""
+def _key(f: dataclasses.Field):
+    """The config key of a section field, or None if it has none."""
     return f.metadata.get("ini", f.name)
 
 
-def _parse_value(name: str, raw: str, pytype):
+def _float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
+def parse_value(name: str, raw: str, pytype):
+    """``raw`` as a ``pytype``; a ConfigError naming ``name`` if it is not one."""
     raw = raw.strip()
     try:
         if pytype is bool:
@@ -120,16 +96,16 @@ def _parse_value(name: str, raw: str, pytype):
         if pytype is int:
             return int(raw)
         if pytype is float:
-            return float(raw)
+            return _float(raw)
         if pytype is str:
             return raw
         if pytype == Tuple[int, ...]:
             return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
         if pytype == Tuple[float, ...]:
-            return tuple(float(v) for v in raw.split(",") if v.strip()) if raw else ()
+            return tuple(_float(v) for v in raw.split(",") if v.strip()) if raw else ()
     except ValueError as exc:
-        raise ConfigError(f"bad value for key {name!r}: {exc}") from exc
-    raise ConfigError(f"unsupported config type for key {name!r}")
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
+    raise ConfigError(f"unsupported config type for {name}")
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -139,27 +115,26 @@ def parse_config_text(text: str) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    sections = {}
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigError(f"unknown config section [{section}]")
-        cls = _SECTIONS[section]
+
+    sections = {}
+    for section, cls in _SECTIONS.items():
         types = typing.get_type_hints(cls)
-        fields = {_key(f): f.name for f in dataclasses.fields(cls)}
-        values = {}
-        for key, raw in parser.items(section):
+        fields = {_key(f): f.name for f in dataclasses.fields(cls) if _key(f)}
+        # [schedule] comes before [sample] in the table
+        values = {"spec": sections["schedule"]} if section == "sample" else {}
+        given = parser.items(section) if parser.has_section(section) else []
+        for key, raw in given:
             if key not in fields:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            values[fields[key]] = _parse_value(key, raw, types[fields[key]])
+            values[fields[key]] = parse_value(f"key {key!r}", raw, types[fields[key]])
         try:
             sections[section] = cls(**values)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid [{section}] section: {exc}") from exc
-
-    try:
-        return ExperimentConfig(**sections)
-    except ValueError as exc:
-        raise ConfigError(f"invalid [sample] section: {exc}") from exc
+    return ExperimentConfig(**sections)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -194,16 +169,11 @@ def _format_value(value) -> str:
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Stable text form with every resolved key materialized."""
     lines = []
-    for name, section in (
-        ("run", cfg.run),
-        ("task", cfg.task),
-        ("schedule", cfg.schedule),
-        ("train", cfg.train),
-        ("sample", cfg.sample),
-        ("eval", cfg.eval),
-    ):
+    for name in _SECTIONS:
+        section = getattr(cfg, name)
         lines.append(f"[{name}]")
         for f in dataclasses.fields(section):
-            lines.append(f"{_key(f)} = {_format_value(getattr(section, f.name))}")
+            if _key(f):
+                lines.append(f"{_key(f)} = {_format_value(getattr(section, f.name))}")
         lines.append("")
     return "\n".join(lines)

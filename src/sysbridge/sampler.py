@@ -51,7 +51,7 @@ evaluating the grid and the coefficients step by step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional
 
@@ -69,16 +69,28 @@ TIME_GRIDS = ("uniform", "stiffness")
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    n_steps: int
-    spec: ScheduleSpec
-    noiseless_range_lock: bool = True
+    """One sampling run: the ``[sample]`` config section.
+
+    `noiseless_range_lock` is the config key ``range_lock`` (the ``ini``
+    metadata).  `spec`, the schedule the reverse pass walks, is required and
+    has no key: a config gives its ``[schedule]`` section.  Only the
+    command line reads `n_samples`, the number of draws of ``sample
+    --simulate``; `sample` takes its batch from its arguments.
+    """
+
+    n_steps: int = 100
+    n_samples: int = 16
     seed: int = 0
+    noiseless_range_lock: bool = field(default=True, metadata={"ini": "range_lock"})
     keep_every: int = 0  # 0 disables checkpoint retention
     time_grid: str = "uniform"
+    spec: ScheduleSpec = field(kw_only=True, metadata={"ini": None})
 
     def __post_init__(self):
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.keep_every < 0:

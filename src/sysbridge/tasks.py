@@ -119,7 +119,9 @@ class TaskSpec:
             raise ValueError("latent_dim must be >= 1")
         if not (0.0 <= self.lambda1_pct <= 100.0 and 0.0 <= self.lambda2_pct <= 100.0):
             raise ValueError("lambda percentages must lie in [0, 100]")
-        if self.lambda1_pct + self.lambda2_pct > 100.0:
+        if self.lambda1_pct + self.lambda2_pct > 100.0 or sum(
+            _mri_label_counts(self.image_side, self.lambda1_pct, self.lambda2_pct)
+        ) > _n_fourier_labels(self.image_side):
             raise ValueError("lambda1 + lambda2 select more than 100% of frequencies")
         if min(self.sigma1_sq, self.sigma2_sq, self.noise_var) < 0:
             raise ValueError("noise variances sigma1_sq, sigma2_sq and noise_var must be >= 0")
@@ -236,6 +238,19 @@ def _ct_system(spec: TaskSpec) -> LinearSystem:
     )
 
 
+def _n_fourier_labels(side: int) -> int:
+    """len(_fourier_labels(side)): conjugate pairs count once, and an even
+    side has 4 self-conjugate frequencies, an odd side 1."""
+    return (side * side + (4 if side % 2 == 0 else 1)) // 2
+
+
+def _mri_label_counts(side: int, lambda1_pct: float, lambda2_pct: float):
+    """(n_low, n_rand): how many frequency labels an mri system on a side x
+    side image keeps deterministically (the lowest) and samples from the rest."""
+    n_labels = _n_fourier_labels(side)
+    return round(lambda1_pct / 100.0 * n_labels), round(lambda2_pct / 100.0 * n_labels)
+
+
 def _fourier_labels(side):
     """Canonical frequency labels sorted by wrapped magnitude.
 
@@ -267,14 +282,10 @@ def _fourier_rows(side, u, v, self_conj):
 
 def _mri_system(spec: TaskSpec) -> LinearSystem:
     side = spec.image_side
-    lambda1 = spec.lambda1_pct
     sigma_sq = spec.sigma2_sq
     labels = _fourier_labels(side)
     n_labels = len(labels)
-    n_low = int(round(lambda1 / 100.0 * n_labels))
-    n_rand = int(round(spec.lambda2_pct / 100.0 * n_labels))
-    if n_low + n_rand > n_labels:
-        raise ValueError("lambda1 + lambda2 select more than 100% of frequencies")
+    n_low, n_rand = _mri_label_counts(side, spec.lambda1_pct, spec.lambda2_pct)
 
     # the random subset is the prefix of one seeded permutation, skipping the
     # deterministic low block: uniform without replacement, and nearly the

@@ -11,6 +11,7 @@ import pytest
 from sysbridge import cli, tensorio
 from sysbridge import denoiser as dn
 from sysbridge.config import parse_config, parse_config_text, serialize_config
+from sysbridge.errors import ConfigError
 
 MEMORIZE_INI = """
 [run]
@@ -88,8 +89,17 @@ class TestConfigErrors:
         )
         assert cli.main(["train", "--config", str(path)]) == 2
 
-    def test_unknown_verify_suite_exit_2(self):
+    def test_unknown_verify_suite_exit_2(self, capsys):
+        capsys.readouterr()
         assert cli.main(["verify", "definitely_not_a_suite"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_verify_missing_output_parent_exit_2_with_one_line(self, tmp_path, capsys):
+        capsys.readouterr()
+        assert cli.main(["verify", "otode", "--output", str(tmp_path / "no" / "such")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_missing_config_exit_2(self):
         assert cli.main(["train"]) == 2
@@ -142,6 +152,17 @@ OUT_OF_RANGE = {
     "dense_m": ("train", GAUSS_TOY_INI, "task", {"dense_m": 0}),
     "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
     "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
+    "time_grid": ("sample", GAUSS_TOY_INI, "sample", {"time_grid": "foo"}),
+    "range_lock": ("sample", GAUSS_TOY_INI, "sample", {"range_lock": "maybe"}),
+    # a non-finite float is refused where it is read, whatever the range check
+    "lr_nan": ("train", MEMORIZE_INI, "train", {"lr": "nan"}),
+    "b0_nan": ("train", MEMORIZE_INI, "schedule", {"b0": "nan"}),
+    "sigma2_sq_inf": ("train", MEMORIZE_INI, "task", {"task": "mri", "sigma2_sq": "inf"}),
+    "eval_values_nan": ("train", MEMORIZE_INI, "eval", {"param": "noise_var", "values": "1,nan"}),
+    # 25 labels on a 7x7 image: round(1.5) + round(23.5) = 26 of them
+    "mri_rounded_overselection": (
+        "train", MEMORIZE_INI, "task", {"task": "mri", "image_side": 7, "lambda1": 6, "lambda2": 94}
+    ),
     "train_seed": ("train", MEMORIZE_INI, "train", {"seed": -1}),
     "sample_seed": ("sample", GAUSS_TOY_INI, "sample", {"seed": -1}),
     "n_samples_negative": ("sample", GAUSS_TOY_INI, "sample", {"n_samples": -1}),
@@ -197,10 +218,8 @@ def test_readme_config_example_parses():
     assert cfg.task.task == "mri" and cfg.eval.param == "lambda1"
 
 
-def test_readme_example_task_block():
-    # the [task] keys and their order are the config_resolved.ini format
-    text = serialize_config(parse_config_text(_readme_example()))
-    assert text.split("[task]\n", 1)[1].split("\n\n", 1)[0] == """\
+README_BLOCKS = {
+    "task": """\
 task = mri
 image_side = 16
 signal_dim = 0
@@ -228,7 +247,22 @@ field_mean = 0.5
 mix_sep = 2.0
 mix_std = 0.5
 mix_coord = -1
-point_value = 0.5"""
+point_value = 0.5""",
+    "sample": """\
+n_steps = 100
+n_samples = 16
+seed = 0
+range_lock = true
+keep_every = 0
+time_grid = uniform""",
+}
+
+
+@pytest.mark.parametrize("section", list(README_BLOCKS))
+def test_readme_example_task_block(section):
+    # a section's keys and their order are the config_resolved.ini format
+    text = serialize_config(parse_config_text(_readme_example()))
+    assert text.split(f"[{section}]\n", 1)[1].split("\n\n", 1)[0] == README_BLOCKS[section]
 
 
 class TestTrain:
@@ -334,6 +368,9 @@ class TestVerifyCommand:
         assert cli.main(["verify", "otode"]) == 0
 
 
+MRI_7_INI = _override(MEMORIZE_INI, "task", task="mri", image_side=7, lambda1=5, lambda2=94)
+
+
 class TestMisspec:
     def test_empty_sweep_header_only(self, tmp_path):
         cfg, out = write_config(tmp_path, MEMORIZE_INI)
@@ -360,22 +397,29 @@ class TestMisspec:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
-        "sweep",
+        "text, sweep",
         [
-            ["--param", "noise_var", "--values", "a"],
-            ["--values", "a"],
-            ["--param", "tau", "--values", "0.1"],
-            ["--param", "lambda1", "--values", "10"],
-            ["--param", "poisson_i0", "--values", "1000"],
+            (MEMORIZE_INI, ["--param", "noise_var", "--values", "a"]),  # an inpainting task
+            (MEMORIZE_INI, ["--values", "a"]),
+            (MEMORIZE_INI, ["--param", "tau", "--values", "0.1"]),
+            (MEMORIZE_INI, ["--param", "lambda1", "--values", "10"]),
+            (MEMORIZE_INI, ["--param", "poisson_i0", "--values", "1000"]),
+            # on a task where the parameter applies, the value itself is refused
+            (MRI_7_INI, ["--param", "noise_var", "--values", "nan"]),
+            (MRI_7_INI, ["--param", "noise_var", "--values", "1,inf"]),
+            # lambda1 = 6 with lambda2 = 94 selects 26 of a 7x7 image's 25 labels
+            (MRI_7_INI, ["--param", "lambda1", "--values", "6"]),
         ],
         ids=["values_not_a_number", "values_without_param", "tau_not_ct",
-             "lambda1_not_mri", "poisson_not_ct"],
+             "lambda1_not_mri", "poisson_not_ct", "values_not_finite", "values_infinite",
+             "lambda1_rounded_overselection"],
     )
-    def test_sweep_that_does_not_fit_exit_2(self, tmp_path, capsys, sweep):
-        cfg, _ = write_config(tmp_path, MEMORIZE_INI)  # an inpainting task
+    def test_sweep_that_does_not_fit_exit_2(self, tmp_path, capsys, text, sweep):
+        cfg, _ = write_config(tmp_path, text)
         ckpt = tmp_path / "net.ckpt"
-        net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
-        dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+        parsed = parse_config(cfg)
+        net = dn.init_net(parsed.task.d, hidden=(8,), time_embed="append_scalar", seed=0)
+        dn.save_checkpoint(ckpt, net, parsed.schedule)
         capsys.readouterr()
         code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
                          "--output", str(tmp_path / "mis"), *sweep])
@@ -620,3 +664,11 @@ def test_sample_steps_default_is_100():
 
     cfg = parse_config_text("[task]\ntask = inpainting\n")
     assert cfg.sample.n_steps == 100
+
+
+def test_sample_section_walks_the_schedule_section():
+    cfg = parse_config_text("[schedule]\nvariant = vp\n")
+    assert cfg.sample.spec is cfg.schedule
+    # the schedule comes from [schedule] only: spec is no [sample] key
+    with pytest.raises(ConfigError, match="unknown key 'spec' in section \\[sample\\]"):
+        parse_config_text("[sample]\nspec = vp\n")

@@ -111,6 +111,27 @@ class TestFourierMask:
         with pytest.raises(ValueError):
             tasks.TaskSpec("mri", lambda1_pct=80, lambda2_pct=30)
 
+    def test_rounded_overselection_rejected(self):
+        # each share is rounded on its own, so lambda1 + lambda2 = 100 can
+        # still ask for one frequency label more than the side has
+        for side in range(1, 20):
+            assert tasks._n_fourier_labels(side) == len(tasks._fourier_labels(side))
+        refused = []
+        for side in range(1, 17):
+            for lambda1 in range(101):
+                try:
+                    spec = tasks.TaskSpec("mri", image_side=side, lambda1_pct=lambda1,
+                                          lambda2_pct=100 - lambda1)
+                except ValueError:
+                    refused.append((side, lambda1))
+                    continue
+                if side == 7:
+                    assert tasks.build_system(spec).m <= 49
+                assert sum(tasks._mri_label_counts(side, lambda1, 100 - lambda1)) <= (
+                    tasks._n_fourier_labels(side)
+                )
+        assert refused == [(3, 30), (3, 70)] + [(7, lambda1) for lambda1 in range(6, 95, 8)]
+
     def test_lower_lambda1_keeps_fewer_low_rows(self):
         # side 16 has enough frequency labels that the percentages do not
         # collide after rounding
