@@ -122,14 +122,7 @@ def cmd_train(args) -> int:
     sys_ = tasks.build_system(cfg.task)
     data = tasks.make_dataset(cfg.task, cfg.task.n_train, cfg.task.data_seed)
     tr = cfg.train
-    net = dn.init_net(
-        sys_.d,
-        hidden=tr.hidden,
-        activation=tr.activation,
-        time_embed=tr.time_embed,
-        time_freqs=tr.time_freqs,
-        seed=tr.seed,
-    )
+    net = dn.init_net(sys_.d, hidden=tr.hidden, activation=tr.activation, seed=tr.seed)
     net, losses = dn.train(net, sys_, cfg.schedule, data, tr)
 
     ckpt = out / "checkpoint.ckpt"

@@ -11,22 +11,21 @@ The ``[task]`` section is a `TaskSpec`, ``[schedule]`` a `ScheduleSpec`,
 schedule is the ``[schedule]`` section, so their checks run at parse time;
 so do those of ``[eval]``.  The sections and their order are the fields of
 `ExperimentConfig`; an absent section takes its defaults.  A field's key is
-its name unless its ``ini`` metadata names another, or none.  A float that
-is not finite is refused.  Any rejected value is a `ConfigError`, also when
-`with_seed` sets a seed from the command line.
+its name unless its ``ini`` metadata names another, or none.  Each section
+refuses a float that is not finite.  Any rejected value is a `ConfigError`,
+also when `with_seed` sets a seed from the command line.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 import typing
 from dataclasses import dataclass
 from typing import Tuple
 
 from .denoiser import TrainConfig
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .sampler import SamplerConfig
 from .schedule import ScheduleSpec
 from .tasks import SWEEP_PARAMS, TaskSpec
@@ -49,6 +48,7 @@ class EvalSection:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.param not in ("",) + SWEEP_PARAMS:
             raise ValueError(f"unknown sweep parameter {self.param!r}")
         if self.n_draws < 1 or self.seed < 0:
@@ -75,13 +75,6 @@ def _key(f: dataclasses.Field):
     return f.metadata.get("ini", f.name)
 
 
-def _float(raw: str) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError(f"not a finite number: {raw.strip()!r}")
-    return value
-
-
 def parse_value(name: str, raw: str, pytype):
     """``raw`` as a ``pytype``; a ConfigError naming ``name`` if it is not one."""
     raw = raw.strip()
@@ -96,13 +89,13 @@ def parse_value(name: str, raw: str, pytype):
         if pytype is int:
             return int(raw)
         if pytype is float:
-            return _float(raw)
+            return float(raw)
         if pytype is str:
             return raw
         if pytype == Tuple[int, ...]:
             return tuple(int(v) for v in raw.split(",") if v.strip()) if raw else ()
         if pytype == Tuple[float, ...]:
-            return tuple(_float(v) for v in raw.split(",") if v.strip()) if raw else ()
+            return tuple(float(v) for v in raw.split(",") if v.strip()) if raw else ()
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from exc
     raise ConfigError(f"unsupported config type for {name}")

@@ -1,20 +1,20 @@
 """Signal-prediction network and its training loop.
 
-A small fully-connected network maps a corrupted state (plus a time
-embedding) back to an estimate of the clean signal.  Gradients are
-computed by hand-rolled reverse mode so that training has zero framework
-dependencies and is bit-for-bit reproducible given a seed at thread count
-one.  Training follows: draw a clean sample, a uniform time on the clipped
+A small fully-connected network maps a corrupted state (plus a fixed
+sinusoidal time embedding) back to an estimate of the clean signal.
+Gradients are computed by hand-rolled reverse mode so that training has
+zero framework dependencies and is bit-for-bit reproducible given a seed
+at thread count one.  Training follows: draw a clean sample, a uniform time on the clipped
 interval and a one-shot corrupted state, score the network with an L1
 reconstruction loss, and update with Adam (learning rate halved at the
 configured epoch milestones).
 
 Flat layout: every weight and bias of a `DenoiserNet` is a view into one
 contiguous float64 vector, ``net.flat``, in `parameters()` order (w0, b0,
-w1, b1, ...; each array row-major), which a new net allocates on a 64-byte
-boundary.  Constructing a net packs the arrays it is given into such a
-vector after checking their shapes against ``layer_dims``; write
-parameters in place (``net.weights[0][:] = ...``).
+w1, b1, ...; each array row-major), which the net allocates, zero and on
+a 64-byte boundary, from its ``layer_dims``; `init_net` and
+`load_checkpoint` then write parameters in place through the views
+(``net.weights[0][:] = ...``).
 `train` keeps one gradient vector of the same layout, into whose views the
 backward pass writes, and runs Adam in place on whole vectors: parameters
 and first and second moments, with the gradient vector and one scratch
@@ -40,12 +40,14 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from . import forward, tensorio
-from .errors import DimensionError, NumericalError
+from .errors import DimensionError, NumericalError, check_finite
 from .linop import LinearSystem
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 
 ACTIVATIONS = ("relu", "tanh", "silu")
-TIME_EMBEDS = ("append_scalar", "sinusoidal")
+# the time embedding: sin and cos of 2 pi 2^j t for j < TIME_FREQS, so a
+# net's input is the signal and 2 * TIME_FREQS = 16 time features
+TIME_FREQS = 8
 
 
 def _param_shapes(layer_dims) -> List[tuple]:
@@ -80,43 +82,18 @@ def _aligned_zeros(shape) -> np.ndarray:
     return padded[start : start + size].reshape(shape)
 
 
-def _zero_params(layer_dims) -> List[np.ndarray]:
-    """Zero parameters in the flat layout: views of one new aligned vector."""
-    size = sum(int(np.prod(shape)) for shape in _param_shapes(layer_dims))
-    return param_views(_aligned_zeros(size), layer_dims)
-
-
-def _packed_vector(params):
-    """The vector that `params` tile as consecutive views, or None."""
-    base = getattr(params[0], "base", None)
-    if not (isinstance(base, np.ndarray) and base.ndim == 1 and base.dtype == np.float64
-            and base.flags.c_contiguous):
-        return None
-    start = addr = params[0].ctypes.data
-    for p in params:
-        if not (isinstance(p, np.ndarray) and p.base is base and p.dtype == np.float64
-                and p.ctypes.data == addr and p.flags.c_contiguous):
-            return None
-        addr += p.nbytes
-    first = (start - base.ctypes.data) // 8
-    return base[first : first + (addr - start) // 8]
-
-
 @dataclass
 class DenoiserNet:
     """Fully-connected net; weights[l] has shape (layer_dims[l], layer_dims[l+1]).
 
-    Construction packs weights and biases into one vector, ``flat``, and
-    replaces them by views into it (arrays that already are those views of
-    one vector are adopted as they are).
+    Construction allocates the parameter vector ``flat``, zero and 64-byte
+    aligned; weights and biases are views into it.
     """
 
     layer_dims: List[int]
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
     activation: str = "silu"
-    time_embed: str = "sinusoidal"
-    time_freqs: int = 8
+    weights: List[np.ndarray] = field(init=False)
+    biases: List[np.ndarray] = field(init=False)
     flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,31 +102,14 @@ class DenoiserNet:
         dims = [int(v) for v in self.layer_dims]
         if len(dims) < 2 or min(dims) < 1:
             raise DimensionError(f"layer_dims must list at least two positive widths, got {dims}")
-        if dims[0] != dims[-1] + time_feature_width(self.time_embed, self.time_freqs):
+        if dims[0] != dims[-1] + 2 * TIME_FREQS:
             raise DimensionError(
                 f"layer_dims {dims}: input width must be the signal width {dims[-1]} "
-                f"plus the {self.time_embed} time features"
-            )
-        if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
-            raise DimensionError(
-                f"layer_dims {dims} needs {len(dims) - 1} weights and biases, "
-                f"got {len(self.weights)} and {len(self.biases)}"
+                f"plus {2 * TIME_FREQS} time features"
             )
         self.layer_dims = dims
-        params = self.parameters()
-        for i, (p, shape) in enumerate(zip(params, _param_shapes(dims))):
-            if np.shape(p) != shape:
-                raise DimensionError(
-                    f"parameter {i} has shape {np.shape(p)}, layer_dims {dims} need {shape}"
-                )
-        flat = _packed_vector(params)
-        if flat is None:
-            views = _zero_params(dims)
-            for view, p in zip(views, params):
-                view[...] = p
-            params = views
-            flat = _packed_vector(views)
-        self.flat = flat
+        self.flat = _aligned_zeros(sum(int(np.prod(shape)) for shape in _param_shapes(dims)))
+        params = param_views(self.flat, dims)
         self.weights = params[0::2]
         self.biases = params[1::2]
 
@@ -168,7 +128,7 @@ class DenoiserNet:
 @dataclass(frozen=True)
 class TrainConfig:
     """Optimizer settings for `train`, and the architecture that `init_net`
-    builds from ``hidden``, ``activation``, ``time_embed`` and ``time_freqs``."""
+    builds from ``hidden`` and ``activation``."""
 
     lr: float = 1e-4
     adam_beta1: float = 0.9
@@ -179,10 +139,9 @@ class TrainConfig:
     lr_milestones: Tuple[int, ...] = (36, 60, 72, 90)
     hidden: Tuple[int, ...] = (64, 64)
     activation: str = "silu"
-    time_embed: str = "sinusoidal"
-    time_freqs: int = 8
 
     def __post_init__(self):
+        check_finite(self)
         if self.lr < 0:
             raise ValueError("lr must be >= 0")
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
@@ -195,45 +154,23 @@ class TrainConfig:
             raise ValueError(f"hidden widths must be >= 1, got {self.hidden}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}, expected one of {ACTIVATIONS}")
-        if self.time_embed not in TIME_EMBEDS:
-            raise ValueError(f"unknown time embedding {self.time_embed!r}, expected one of {TIME_EMBEDS}")
-        if self.time_freqs < 0:
-            raise ValueError("time_freqs must be >= 0")
 
 
-def time_feature_width(mode: str, k: int) -> int:
-    if mode == "append_scalar":
-        return 1
-    if mode == "sinusoidal":
-        return 2 * k
-    raise ValueError(f"unknown time embedding {mode!r}")
-
-
-def time_features(t: float, mode: str, k: int) -> np.ndarray:
-    if mode == "append_scalar":
-        return np.array([t], dtype=np.float64)
+def time_features(t: float) -> np.ndarray:
     # geometric frequency ladder: 1, 2, 4, ... cycles over the unit interval
-    j = np.arange(k, dtype=np.float64)
+    j = np.arange(TIME_FREQS, dtype=np.float64)
     ang = 2.0 * np.pi * (2.0 ** j) * t
     return np.concatenate([np.sin(ang), np.cos(ang)])
 
 
-def init_net(
-    d: int,
-    hidden: Sequence[int],
-    activation: str = "silu",
-    time_embed: str = "sinusoidal",
-    time_freqs: int = 8,
-    seed: int = 0,
-) -> DenoiserNet:
+def init_net(d: int, hidden: Sequence[int], activation: str = "silu", seed: int = 0) -> DenoiserNet:
     """Glorot-uniform weights, zero biases, seeded."""
-    dims = [d + time_feature_width(time_embed, time_freqs)] + list(hidden) + [d]
+    net = DenoiserNet([d + 2 * TIME_FREQS, *hidden, d], activation)
     rng = np.random.default_rng(seed)
-    params = _zero_params(dims)
-    for w, n_in, n_out in zip(params[0::2], dims[:-1], dims[1:]):
-        bound = np.sqrt(6.0 / (n_in + n_out))
-        w[...] = rng.uniform(-bound, bound, size=(n_in, n_out))
-    return DenoiserNet(dims, params[0::2], params[1::2], activation, time_embed, time_freqs)
+    for w in net.weights:
+        bound = np.sqrt(6.0 / sum(w.shape))
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 def _act(name, z):
@@ -276,11 +213,11 @@ def _act_grad(name, z, out):
 
 
 @lru_cache(maxsize=4096)
-def _grid_time_features(t: float, mode: str, k: int) -> np.ndarray:
+def _grid_time_features(t: float) -> np.ndarray:
     """`time_features`, read-only and cached: a sampler asks for the same
     grid times on every pass.  Training draws its times at random and
     computes them directly instead, so as not to evict these."""
-    feats = time_features(t, mode, k)
+    feats = time_features(t)
     feats.flags.writeable = False
     return feats
 
@@ -316,7 +253,7 @@ def forward_denoise(net: DenoiserNet, x, t: float) -> np.ndarray:
         raise DimensionError(
             f"forward_denoise: expected last axis {net.signal_dim}, got {x.shape}"
         )
-    feats = _grid_time_features(float(t), net.time_embed, net.time_freqs)
+    feats = _grid_time_features(float(t))
     out, _, _ = _forward_tape(net, _input_features(x, feats))
     return out
 
@@ -331,7 +268,7 @@ def l1_loss_and_grad(net: DenoiserNet, x, t: float, target, grads) -> float:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     batch = x.shape[0]
-    feats = time_features(float(t), net.time_embed, net.time_freqs)
+    feats = time_features(float(t))
     out, acts, pres = _forward_tape(net, _input_features(x, feats))
     resid = np.subtract(out, target, out=out)
     loss = float(np.mean(np.sum(np.abs(resid), axis=-1)))
@@ -471,7 +408,7 @@ _PREAMBLE_END = b"---\n"
 # writes a schedule into a preamble and the hash canon, and reads it back
 _SCHEDULE_TYPES = typing.get_type_hints(ScheduleSpec)
 _HEADER_KEYS = (
-    "layer_dims", "activation", "time_embed", "time_freqs",
+    "layer_dims", "activation",
     *(f"schedule_{name}" for name in _SCHEDULE_TYPES),
     "n_tensors",
 )
@@ -496,8 +433,6 @@ def save_checkpoint(path, net: DenoiserNet, spec: ScheduleSpec, extra=None):
         "format=sysbridge-checkpoint-v1",
         "layer_dims=" + ",".join(str(v) for v in net.layer_dims),
         f"activation={net.activation}",
-        f"time_embed={net.time_embed}",
-        f"time_freqs={net.time_freqs}",
         *(f"schedule_{name}={text}" for name, text in _schedule_items(spec)),
         f"schedule_hash={schedule_hash(spec)}",
     ]
@@ -517,7 +452,10 @@ def load_checkpoint(path):
     Each tensor record is checked against the shape that the header's
     ``layer_dims`` give it and read straight into the net's parameter
     vector.  A malformed file raises ValueError (DimensionError for a wrong
-    shape or a truncated record), a missing one OSError.
+    shape or a truncated record), a missing one OSError.  Other header lines
+    are only returned: the ``time_embed`` and ``time_freqs`` lines of older
+    checkpoints say nothing that ``layer_dims`` does not, and a net built
+    for another time embedding fails the input-width check.
     """
     with open(path, "rb") as fh:
         header = {}
@@ -535,20 +473,12 @@ def load_checkpoint(path):
         spec = ScheduleSpec(**{
             name: kind(header[f"schedule_{name}"]) for name, kind in _SCHEDULE_TYPES.items()
         })
-        dims = [int(v) for v in header["layer_dims"].split(",")]
-        params = _zero_params(dims)
+        net = DenoiserNet([int(v) for v in header["layer_dims"].split(",")], header["activation"])
+        params = net.parameters()
         if int(header["n_tensors"]) != len(params):
             raise DimensionError(
-                f"checkpoint holds {header['n_tensors']} tensors, layer_dims {dims} need {len(params)}"
+                f"checkpoint holds {header['n_tensors']} tensors, layer_dims {net.layer_dims} need {len(params)}"
             )
         for p in params:
             p[...] = tensorio.read_tensor(fh, p.shape)
-    net = DenoiserNet(
-        layer_dims=dims,
-        weights=params[0::2],
-        biases=params[1::2],
-        activation=header["activation"],
-        time_embed=header["time_embed"],
-        time_freqs=int(header["time_freqs"]),
-    )
     return net, spec, header

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-value check."""
+
+import dataclasses
+import math
+
+
+def check_finite(spec) -> None:
+    """ValueError unless every float of dataclass ``spec``, also inside a
+    tuple field, is finite: range checks such as ``x < 0`` let NaN pass."""
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        for v in value if isinstance(value, tuple) else (value,):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v!r}")
 
 
 class DimensionError(ValueError):

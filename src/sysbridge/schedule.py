@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ScheduleDomainError, UnsupportedVariantError
+from .errors import ScheduleDomainError, UnsupportedVariantError, check_finite
 
 VARIANTS = ("sb", "vp", "ve")
 
@@ -36,6 +36,7 @@ class ScheduleSpec:
     eps2: float = 1e-3
 
     def __post_init__(self):
+        check_finite(self)
         if self.variant not in VARIANTS:
             raise UnsupportedVariantError(
                 f"unknown variant {self.variant!r}, expected one of {VARIANTS}"

@@ -46,7 +46,7 @@ from typing import Optional
 import numpy as np
 
 from . import nonlinear, oracle
-from .errors import DimensionError
+from .errors import DimensionError, check_finite
 from .linop import LinearSystem, _check_last_axis, build_dense_system
 
 TASKS = ("inpainting", "superres", "ct", "mri")   # the image tasks
@@ -94,6 +94,7 @@ class TaskSpec:
     point_value: float = 0.5
 
     def __post_init__(self):
+        check_finite(self)
         if self.task not in TASKS + VECTOR_TASKS:
             raise ValueError(f"unknown task {self.task!r}, expected one of {TASKS + VECTOR_TASKS}")
         if self.dataset not in DATASETS:
@@ -333,6 +334,7 @@ class Perturbation:
     poisson_i0: Optional[float] = None
 
     def __post_init__(self):
+        check_finite(self)
         if self.poisson_i0 is not None and self.poisson_i0 <= 0:
             raise ValueError("poisson noise requires intensity > 0")
 

@@ -2,16 +2,18 @@
 
 import configparser
 import io
+import re
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sysbridge import cli, tensorio
+from sysbridge import cli, tasks, tensorio
 from sysbridge import denoiser as dn
-from sysbridge.config import parse_config, parse_config_text, serialize_config
+from sysbridge.config import EvalSection, parse_config, parse_config_text, serialize_config
 from sysbridge.errors import ConfigError
+from sysbridge.schedule import ScheduleSpec
 
 MEMORIZE_INI = """
 [run]
@@ -35,7 +37,6 @@ batch_size = 1
 n_epochs = 200
 lr_milestones = 40,52,64,76,88,100,112,124,136,148,160,172,184,196
 hidden =
-time_embed = append_scalar
 
 [sample]
 n_steps = 50
@@ -76,10 +77,16 @@ def write_config(tmp_path, text, name="cfg.ini"):
 
 
 class TestConfigErrors:
-    def test_unknown_key_exit_2(self, tmp_path):
+    def test_unknown_key_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
-        path.write_text("[task]\nnot_a_key = 3\n", encoding="utf-8")
-        assert cli.main(["train", "--config", str(path)]) == 2
+        # the time embedding is fixed: time_embed and time_freqs are no keys
+        for section, key, value in [("task", "not_a_key", "3"), ("train", "time_embed", "foo"),
+                                    ("train", "time_freqs", "8")]:
+            path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+            capsys.readouterr()
+            assert cli.main(["train", "--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err == f"config error: unknown key {key!r} in section [{section}]\n"
 
     def test_missing_output_parent_exit_2(self, tmp_path):
         path = tmp_path / "cfg.ini"
@@ -131,6 +138,7 @@ OUT_OF_RANGE = {
     "eps1": ("train", MEMORIZE_INI, "schedule", {"eps1": 0.7}),
     "lr": ("train", MEMORIZE_INI, "train", {"lr": -1}),
     "activation": ("train", MEMORIZE_INI, "train", {"activation": "gelu"}),
+    # the time embedding is fixed: these former [train] keys are refused as unknown
     "time_embed": ("train", MEMORIZE_INI, "train", {"time_embed": "foo"}),
     "time_freqs": ("train", MEMORIZE_INI, "train", {"time_embed": "sinusoidal", "time_freqs": -1}),
     "hidden": ("train", MEMORIZE_INI, "train", {"hidden": "8,0"}),
@@ -186,11 +194,32 @@ def test_out_of_range_value_exit_2_with_one_line(tmp_path, capsys, case):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tasks.TaskSpec(sigma2_sq=NAN),
+    lambda: tasks.TaskSpec(tau=NAN),
+    lambda: tasks.TaskSpec(gauss_mean=INF),  # a field without a range check
+    lambda: ScheduleSpec("sb", b0=NAN),
+    lambda: ScheduleSpec("ve", sigma_max=NAN),
+    lambda: dn.TrainConfig(lr=NAN),
+    lambda: dn.TrainConfig(adam_beta1=NAN),
+    lambda: tasks.Perturbation(poisson_i0=NAN),
+    lambda: EvalSection(values=(1.0, NAN)),
+], ids=["sigma2_sq", "tau", "gauss_mean", "b0", "sigma_max", "lr", "adam_beta1", "poisson_i0",
+        "eval_values"])
+def test_section_constructors_refuse_non_finite_floats(build):
+    # range checks such as `x < 0` let NaN through; every section refuses it
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
+
+
 @pytest.mark.parametrize("command", ["train", "sample", "misspec"])
 def test_negative_seed_flag_exit_2_with_one_line(tmp_path, capsys, command):
     cfg, _ = write_config(tmp_path, MEMORIZE_INI)
     ckpt = tmp_path / "net.ckpt"
-    net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
+    net = dn.init_net(16, hidden=(8,), seed=0)
     dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
     extra = {
         "train": [],
@@ -248,6 +277,16 @@ mix_sep = 2.0
 mix_std = 0.5
 mix_coord = -1
 point_value = 0.5""",
+    "train": """\
+lr = 0.001
+adam_beta1 = 0.9
+adam_beta2 = 0.99
+batch_size = 8
+n_epochs = 80
+seed = 2
+lr_milestones = 30,50,65
+hidden = 256
+activation = silu""",
     "sample": """\
 n_steps = 100
 n_samples = 16
@@ -418,7 +457,7 @@ class TestMisspec:
         cfg, _ = write_config(tmp_path, text)
         ckpt = tmp_path / "net.ckpt"
         parsed = parse_config(cfg)
-        net = dn.init_net(parsed.task.d, hidden=(8,), time_embed="append_scalar", seed=0)
+        net = dn.init_net(parsed.task.d, hidden=(8,), seed=0)
         dn.save_checkpoint(ckpt, net, parsed.schedule)
         capsys.readouterr()
         code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
@@ -443,13 +482,34 @@ def _replace_header_line(blob, key, value):
     return b"\n".join(lines) + sep + tail
 
 
+def _legacy_checkpoint(blob, time_embed="sinusoidal", time_freqs=8, input_width=None):
+    """``blob`` as checkpoints were written while the time embedding was a
+    [train] setting: the header also names the embedding.  With
+    ``input_width`` the net takes that many inputs, as one built for another
+    embedding did; its first weights keep their leading rows."""
+    head, sep, tail = blob.partition(b"---\n")
+    head = head.replace(
+        b"\nschedule_variant=",
+        f"\ntime_embed={time_embed}\ntime_freqs={time_freqs}\nschedule_variant=".encode(),
+    )
+    if input_width is None:
+        return head + sep + tail
+    head = re.sub(rb"layer_dims=\d+", b"layer_dims=%d" % input_width, head)
+    records = io.BytesIO(tail)
+    first = tensorio.read_tensor(records)[:input_width]
+    return head + sep + _tensor_bytes(first) + records.read()
+
+
 # each turns a valid checkpoint's bytes into a broken one (None: no file)
 BROKEN_CHECKPOINTS = {
     "missing_file": None,
     "missing_header_key": lambda blob: _drop_header_line(blob, "activation"),
     "truncated_tensor": lambda blob: blob[:-12],
     # the hidden width disagrees with the tensors, the signal width does not
-    "shape_mismatch": lambda blob: _replace_header_line(blob, "layer_dims", "17,6,16"),
+    "shape_mismatch": lambda blob: _replace_header_line(blob, "layer_dims", "32,6,16"),
+    # nets of the other time embeddings: 16 + 1 and 16 + 2 * 4 inputs
+    "append_scalar_embedding": lambda blob: _legacy_checkpoint(blob, "append_scalar", 8, 17),
+    "four_time_frequencies": lambda blob: _legacy_checkpoint(blob, "sinusoidal", 4, 24),
 }
 
 
@@ -460,7 +520,7 @@ class TestBrokenCheckpoint:
     def checkpoint(self, tmp_path):
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
         spec = parse_config(cfg).schedule
-        net = dn.init_net(16, hidden=(8,), time_embed="append_scalar", seed=0)
+        net = dn.init_net(16, hidden=(8,), seed=0)
         path = tmp_path / "good.ckpt"
         dn.save_checkpoint(path, net, spec)
         return cfg, path
@@ -492,9 +552,26 @@ class TestBrokenCheckpoint:
         cfg, _ = checkpoint
         other = tmp_path / "other.ckpt"
         spec = parse_config(cfg).schedule
-        dn.save_checkpoint(other, dn.init_net(9, hidden=(8,), time_embed="append_scalar"), spec)
+        dn.save_checkpoint(other, dn.init_net(9, hidden=(8,)), spec)
         assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(other), "--simulate",
                          "--output", str(tmp_path / "run")]) == 2
+
+
+def test_checkpoint_naming_the_fixed_embedding_samples_the_same_bytes(tmp_path):
+    # a noisy dense system, on which the samples depend on the network
+    cfg, _ = write_config(tmp_path, _override(GAUSS_TOY_INI, "sample", n_samples=8, n_steps=20))
+    new = tmp_path / "new.ckpt"
+    dn.save_checkpoint(new, dn.init_net(4, hidden=(8,), seed=3), parse_config(cfg).schedule)
+    legacy = tmp_path / "legacy.ckpt"
+    legacy.write_bytes(_legacy_checkpoint(new.read_bytes()))
+    assert b"\ntime_embed=sinusoidal\ntime_freqs=8\n" in legacy.read_bytes()
+    blobs = []
+    for ckpt in (new, legacy):
+        dest = tmp_path / ckpt.stem
+        assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--simulate", "--output", str(dest)]) == 0
+        blobs.append((dest / "samples.sdbt").read_bytes())
+    assert blobs[0] == blobs[1]
 
 
 def _tensor_bytes(array):
@@ -520,7 +597,7 @@ class TestBrokenMeasurements:
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
         spec = parse_config(cfg).schedule
         ckpt = tmp_path / "net.ckpt"
-        dn.save_checkpoint(ckpt, dn.init_net(16, hidden=(8,), time_embed="append_scalar"), spec)
+        dn.save_checkpoint(ckpt, dn.init_net(16, hidden=(8,)), spec)
         ypath = tmp_path / "y.sdbt"
         if BROKEN_MEASUREMENTS[fault] is not None:
             ypath.write_bytes(BROKEN_MEASUREMENTS[fault])

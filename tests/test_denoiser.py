@@ -18,7 +18,7 @@ class TestForward:
 
     def test_identity_linear_layer(self):
         # single linear layer wired as identity on the signal block
-        net = dn.init_net(3, hidden=(), time_embed="append_scalar", seed=0)
+        net = dn.init_net(3, hidden=(), seed=0)
         net.weights[0][:] = 0.0
         net.weights[0][:3, :3] = np.eye(3)
         x = np.array([0.2, -1.0, 2.5])
@@ -58,7 +58,7 @@ class TestLossAndGrad:
         self.coeffs = schedule.evaluate(self.spec, 0.5)
 
     def test_exact_prediction_zero_loss_zero_grad(self):
-        net = dn.init_net(3, hidden=(), time_embed="append_scalar", seed=0)
+        net = dn.init_net(3, hidden=(), seed=0)
         x0 = np.array([0.3, -0.4, 0.9])
         net.weights[0][:] = 0.0
         net.biases[0][:] = x0
@@ -108,7 +108,7 @@ class TestLossAndGrad:
                 continue
             if activation == "relu":
                 # keep away from activation kinks as well
-                feats = dn.time_features(coeffs.t, net.time_embed, net.time_freqs)
+                feats = dn.time_features(coeffs.t)
                 _, _, pres = dn._forward_tape(net, dn._input_features(state.x, feats))
                 if min(float(np.min(np.abs(p))) for p in pres[:-1]) < 1e-3:
                     continue
@@ -130,6 +130,18 @@ class TestLossAndGrad:
         assert checked == 5
 
 
+_aligned_zeros = dn._aligned_zeros
+
+
+def _offset_zeros(shift):
+    """`dn._aligned_zeros`, but each array starts ``shift`` * 8 bytes past a
+    64-byte boundary."""
+    def zeros(shape):
+        size = int(np.prod(shape))
+        return _aligned_zeros(size + 8)[shift : shift + size].reshape(shape)
+    return zeros
+
+
 class TestFlatLayout:
     def test_parameters_are_consecutive_views_of_one_vector(self):
         net = dn.init_net(5, hidden=(12, 7), seed=9)
@@ -143,40 +155,22 @@ class TestFlatLayout:
             (21, 12), (12,), (12, 7), (7,), (7, 5), (5,)
         ]
 
-    def test_construction_packs_a_copy(self):
-        weights = [np.ones((4, 3)), np.full((3, 3), 2.0)]
-        biases = [np.zeros(3), np.arange(3.0)]
-        net = dn.DenoiserNet([4, 3, 3], weights, biases, time_embed="append_scalar")
-        for p, src in zip(net.parameters(), [weights[0], biases[0], weights[1], biases[1]]):
-            assert not np.shares_memory(p, src)
-            np.testing.assert_array_equal(p, src)
-            assert np.shares_memory(p, net.flat)
-        np.testing.assert_array_equal(
-            net.flat, np.concatenate([p.ravel() for p in net.parameters()])
-        )
-
     def test_parameter_vector_starts_on_64_bytes(self, tmp_path):
         net = dn.init_net(5, hidden=(12, 7), seed=9)
         path = tmp_path / "net.ckpt"
         dn.save_checkpoint(path, net, schedule.ScheduleSpec())
-        copied = dn.DenoiserNet([4, 3, 3], [np.ones((4, 3)), np.ones((3, 3))],
-                                [np.zeros(3), np.zeros(3)], time_embed="append_scalar")
-        for n in (net, dn.load_checkpoint(path)[0], copied):
+        for n in (net, dn.load_checkpoint(path)[0], dn.DenoiserNet([19, 3, 3])):
             assert n.flat.ctypes.data % 64 == 0
 
-    def test_forward_bytes_independent_of_weight_alignment(self):
-        net = dn.init_net(16, hidden=(32,), seed=3)
+    def test_forward_bytes_independent_of_weight_alignment(self, monkeypatch):
         x = np.random.default_rng(4).standard_normal((5, 16))
-        expected = dn.forward_denoise(net, x, 0.3).tobytes()
-        for shift in (1, 2, 3):
-            buf = np.zeros(net.flat.size + 8)
-            start = ((-buf.ctypes.data % 64) // 8 + shift) % 8  # shift * 8 bytes past 64
-            moved = dn.param_views(buf[start : start + net.flat.size], net.layer_dims)
-            for dst, src in zip(moved, net.parameters()):
-                dst[...] = src
-            other = dn.DenoiserNet(net.layer_dims, moved[0::2], moved[1::2])
-            assert other.flat.ctypes.data % 64 != 0  # adopted where it lies
-            assert dn.forward_denoise(other, x, 0.3).tobytes() == expected
+        outputs = []
+        for shift in (0, 1, 2, 3):
+            monkeypatch.setattr(dn, "_aligned_zeros", _offset_zeros(shift))
+            net = dn.init_net(16, hidden=(32,), seed=3)
+            assert net.flat.ctypes.data % 64 == 8 * shift
+            outputs.append(dn.forward_denoise(net, x, 0.3).tobytes())
+        assert all(out == outputs[0] for out in outputs)
 
     def test_train_buffers_start_on_64_bytes(self, monkeypatch):
         seen = []
@@ -201,15 +195,10 @@ class TestFlatLayout:
         spec = schedule.ScheduleSpec("sb", b0=0.25, b1=0.25)
         data = np.random.default_rng(5).standard_normal((21, 3))
         tcfg = dn.TrainConfig(lr=3e-3, batch_size=8, n_epochs=3, seed=6)
-        real = dn._aligned_zeros
         results = []
         for shift in (0, 1, 2, 3):
-            # weights, gradient, moments and scratch shift * 8 bytes past 64
-            def shifted(shape, shift=shift):
-                buf = real(int(np.prod(shape)) + 8).ravel()
-                return buf[shift : shift + int(np.prod(shape))].reshape(shape)
-
-            monkeypatch.setattr(dn, "_aligned_zeros", shifted)
+            # shifts the weights, gradient, moments and scratch alike
+            monkeypatch.setattr(dn, "_aligned_zeros", _offset_zeros(shift))
             net = dn.init_net(3, hidden=(16, 12), seed=7)
             assert net.flat.ctypes.data % 64 == 8 * shift
             _, losses = dn.train(net, sys, spec, data, tcfg)
@@ -221,21 +210,12 @@ class TestFlatLayout:
         net.weights[1][:] = 7.0
         assert np.count_nonzero(net.flat == 7.0) == 4 * 3
 
-    @pytest.mark.parametrize(
-        "weights, biases",
-        [
-            ([np.ones((4, 2)), np.ones((2, 3))], [np.ones(3), np.ones(3)]),
-            ([np.ones((4, 3)), np.ones((3, 3))], [np.ones(3), np.ones(2)]),
-            ([np.ones((4, 3))], [np.ones(3)]),
-        ],
-    )
-    def test_shape_mismatch_rejected(self, weights, biases):
-        with pytest.raises(DimensionError):
-            dn.DenoiserNet([4, 3, 3], weights, biases, time_embed="append_scalar")
-
     def test_input_width_must_fit_signal_and_time_features(self):
-        with pytest.raises(DimensionError):
-            dn.DenoiserNet([5, 3], [np.ones((5, 3))], [np.ones(3)], time_embed="append_scalar")
+        # 4 = 3 + 1 and 11 = 3 + 2 * 4: the widths of other time embeddings
+        for dims in ([4, 3], [11, 8, 3]):
+            with pytest.raises(DimensionError, match="16 time features"):
+                dn.DenoiserNet(dims)
+        assert dn.DenoiserNet([19, 3]).signal_dim == 3
 
     def test_loss_and_grad_results_survive_a_second_call(self):
         sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
@@ -273,7 +253,7 @@ def _ref_act_grad(name, z):
 
 
 def _ref_l1_loss_and_grad(net, weights, biases, x, t, target):
-    feats = dn.time_features(float(t), net.time_embed, net.time_freqs)
+    feats = dn.time_features(float(t))
     a = np.concatenate([x, np.broadcast_to(feats, x.shape[:-1] + feats.shape)], axis=-1)
     acts, pres = [a], []
     last = len(weights) - 1
@@ -331,14 +311,14 @@ def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
 
 class TestTrainBytes:
     @pytest.mark.parametrize("activation", ["relu", "tanh", "silu"])
-    @pytest.mark.parametrize("hidden, time_embed", [((16, 12), "sinusoidal"), ((), "append_scalar")])
-    def test_flat_training_matches_list_reference(self, activation, hidden, time_embed):
+    @pytest.mark.parametrize("hidden", [(16, 12), ()])
+    def test_flat_training_matches_list_reference(self, activation, hidden):
         sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
         spec = schedule.ScheduleSpec("sb", b0=0.25, b1=0.25)
         # 37 rows: the last batch of each epoch is short
         data = np.random.default_rng(5).standard_normal((37, 3))
         tcfg = dn.TrainConfig(lr=3e-3, batch_size=8, n_epochs=6, seed=6, lr_milestones=(2, 4))
-        net = dn.init_net(3, hidden=hidden, activation=activation, time_embed=time_embed, seed=7)
+        net = dn.init_net(3, hidden=hidden, activation=activation, seed=7)
         before = net.flat.copy()
         ref_losses, ref_params = _ref_train(net, sys, spec, data, tcfg)
         _, losses = dn.train(net, sys, spec, data, tcfg)
@@ -369,7 +349,7 @@ class TestTrain:
         sys = linop.identity_system(16)
         spec = schedule.ScheduleSpec("sb")
         data = np.tile(np.full(16, 0.6), (16, 1))
-        net = dn.init_net(16, hidden=(), time_embed="append_scalar", seed=0)
+        net = dn.init_net(16, hidden=(), seed=0)
         tcfg = dn.TrainConfig(
             lr=0.01, batch_size=1, n_epochs=200, seed=0,
             lr_milestones=tuple(range(40, 200, 12)),
@@ -424,7 +404,7 @@ class TestTrain:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
-        net = dn.init_net(5, hidden=(12, 7), activation="tanh", time_freqs=4, seed=9)
+        net = dn.init_net(5, hidden=(12, 7), activation="tanh", seed=9)
         spec = schedule.ScheduleSpec("sb", b0=0.2, b1=0.4, eps2=1e-5)
         path = tmp_path / "net.ckpt"
         dn.save_checkpoint(path, net, spec, extra={"note": "roundtrip"})

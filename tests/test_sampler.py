@@ -295,12 +295,12 @@ class TestStepPlan:
         net = dn.init_net(3, hidden=(4,), seed=0)
         x = np.random.default_rng(0).standard_normal((2, 3))
         # the uncached forward pass, for reference
-        feats = dn.time_features(0.25, net.time_embed, net.time_freqs)
+        feats = dn.time_features(0.25)
         expected, _, _ = dn._forward_tape(net, dn._input_features(x, feats))
         for _ in range(2):
             assert dn.forward_denoise(net, x, np.float64(0.25)).tobytes() == expected.tobytes()
-        cached = dn._grid_time_features(0.25, net.time_embed, net.time_freqs)
-        assert cached is dn._grid_time_features(0.25, net.time_embed, net.time_freqs)
+        cached = dn._grid_time_features(0.25)
+        assert cached is dn._grid_time_features(0.25)
         assert cached.tobytes() == feats.tobytes()
         with pytest.raises(ValueError):
             cached[0] = 1.0
