@@ -183,6 +183,10 @@ def cmd_sample(args) -> int:
     spec = cfg.schedule
 
     if args.oracle_denoiser:
+        if sys_.d > oracle.MAX_DENSE_DIM:
+            raise ConfigError(
+                f"--oracle-denoiser supports at most {oracle.MAX_DENSE_DIM} signal dims, got {sys_.d}"
+            )
         prior = tasks.gaussian_prior(cfg.task)
         if prior is None:
             raise ConfigError("--oracle-denoiser requires a dataset with an analytic prior (gaussian or field)")

@@ -300,8 +300,8 @@ def loss_and_grad(
     if grads is None:
         grads = param_views(np.empty_like(net.flat), net.layer_dims)
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    state = forward.forward_sample(sys, coeffs, x0, rng)
-    loss = l1_loss_and_grad(net, state.x, coeffs.t, x0, grads)
+    x_t = forward.forward_sample(sys, coeffs, x0, rng)
+    loss = l1_loss_and_grad(net, x_t, coeffs.t, x0, grads)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss at t={coeffs.t}")
     return loss, grads

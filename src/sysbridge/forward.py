@@ -13,8 +13,9 @@ consistency between those closed-form marginals and the underlying SDE
     dx = dlog(alpha)/dt (I - A+ A) x dt + G_t dw,
     G_t G_t^T = dgamma/dt A+ Sigma A+^T + gnull_sq (I - A+ A),
 
-and is never part of a production path.  Sigma_t is materialized only by
-`analytic_marginal`, for test-scale oracles; no core routine inverts it.
+and is never part of a production path.  Both take and return arrays.  H_t
+and Sigma_t are materialized only by `oracle.analytic_marginal` and its
+helpers, for test-scale oracles; no core routine inverts Sigma_t.
 
 Both the one-shot draw and each simulator step are one range/null split,
 `linop.with_range`, costing one `apply` and one `apply_pinv`:
@@ -41,26 +42,15 @@ check the fused step against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linop
 from .errors import DivergenceError, NumericalError
 from .linop import LinearSystem
-from .oracle import GaussianBelief, MAX_DENSE_DIM
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 
 
-@dataclass
-class ProcessState:
-    """A signal-space vector (or batch of them) with its timestep."""
-
-    x: np.ndarray
-    t: float
-
-
-def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> ProcessState:
+def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> np.ndarray:
     """One-shot draw of the corrupted state at coeffs.t.
 
     Noise order is fixed for reproducibility: the measurement-space draw
@@ -76,41 +66,7 @@ def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng) -> Proces
     v *= np.sqrt(coeffs.beta)
     v += coeffs.alpha * x0
     # the range part of x0, alpha times its null part, null noise, range noise
-    x_t = linop.with_range(sys, v, r, range_noise)
-    return ProcessState(x=x_t, t=coeffs.t)
-
-
-def mean_apply(sys: LinearSystem, coeffs: ScheduleCoeffs, x) -> np.ndarray:
-    """Action of the marginal mean map H_t."""
-    rng_part = linop.project_range(sys, x)
-    return rng_part + coeffs.alpha * (np.asarray(x, dtype=np.float64) - rng_part)
-
-
-def mean_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
-    """Dense H_t (test-scale only)."""
-    if sys.d > MAX_DENSE_DIM:
-        raise NumericalError(f"dense mean map limited to d <= {MAX_DENSE_DIM}")
-    return mean_apply(sys, coeffs, np.eye(sys.d)).T
-
-
-def covariance_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
-    """Dense Sigma_t (test-scale only)."""
-    if sys.d > MAX_DENSE_DIM:
-        raise NumericalError(f"dense covariance limited to d <= {MAX_DENSE_DIM}")
-    pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(sys.m))).T  # A+ S, d x m
-    proj = linop.project_range(sys, np.eye(sys.d)).T
-    null_proj = np.eye(sys.d) - proj
-    cov = coeffs.gamma * pinv_noise @ pinv_noise.T + coeffs.beta * null_proj
-    return 0.5 * (cov + cov.T)
-
-
-def analytic_marginal(sys: LinearSystem, coeffs: ScheduleCoeffs, x0) -> GaussianBelief:
-    """Closed-form Gaussian marginal of the corrupted state at coeffs.t."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    return GaussianBelief(
-        mean=mean_apply(sys, coeffs, x0),
-        cov=covariance_matrix(sys, coeffs),
-    )
+    return linop.with_range(sys, v, r, range_noise)
 
 
 def _diffusion_roots(coeffs: ScheduleCoeffs):
@@ -139,9 +95,9 @@ def simulate_forward_sde(
     The state is seeded at t = eps2 with the exact closed-form marginal
     (the SDE's marginal claims only hold on the clipped interval, so the
     start must carry the eps2 marginal); pass ``exact_start=False`` to
-    start from x0 itself.  With ``checkpoint_times`` given, returns
-    (final_state, {time: state_array}) where each recorded time is the
-    first grid point at or past the requested one.
+    start from x0 itself.  Returns the state at t = 1 - eps1, or with
+    ``checkpoint_times`` given (final, {time: state}) where each recorded
+    time is the first grid point at or past the requested one.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -149,11 +105,7 @@ def simulate_forward_sde(
     t0, t1 = spec.t_min, spec.t_max
     dt = (t1 - t0) / n_steps
 
-    if exact_start:
-        state = forward_sample(sys, evaluate(spec, t0), x0, rng)
-        x = state.x
-    else:
-        x = x0.copy()
+    x = forward_sample(sys, evaluate(spec, t0), x0, rng) if exact_start else x0.copy()
 
     remaining = sorted(checkpoint_times) if checkpoint_times else []
     recorded = {}
@@ -176,7 +128,6 @@ def simulate_forward_sde(
         t_next = t0 + (k + 1) * dt
         while remaining and t_next >= remaining[0] - 1e-12:
             recorded[remaining.pop(0)] = x.copy()
-    final = ProcessState(x=x, t=t1)
     if checkpoint_times:
-        return final, recorded
-    return final
+        return x, recorded
+    return x

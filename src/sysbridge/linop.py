@@ -70,8 +70,10 @@ class LinearSystem:
     noise_scale:
         Action of S on a measurement-space vector, built from `sigma_half`
         by `make_noise_scale` unless a closure is passed in (as a tracer
-        does through `dataclasses.replace`; a replace that changes
-        `sigma_half` passes ``noise_scale=None`` to rebuild it).
+        does through `dataclasses.replace`).  A closure records the
+        `sigma_half` it was built from, so one built from another value,
+        as after a replace that changes `sigma_half`, is rebuilt; a closure
+        without that record is kept.
     """
 
     m: int
@@ -83,7 +85,8 @@ class LinearSystem:
     noise_scale: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.noise_scale is None:
+        built_from = getattr(self.noise_scale, "sigma_half", self.sigma_half)
+        if self.noise_scale is None or built_from is not self.sigma_half:
             object.__setattr__(self, "noise_scale", make_noise_scale(self.sigma_half, self.m))
 
     @property
@@ -218,7 +221,10 @@ def update_noise(sys: LinearSystem, rng, shape, range_scale=None):
 
 
 def make_noise_scale(sigma_half: SigmaHalf, m: int):
-    """The action of S on measurement-space vectors; a matrix S must be m x m."""
+    """The action of S on measurement-space vectors; a matrix S must be m x m.
+
+    The closure records ``sigma_half`` as its attribute of that name.
+    """
     if isinstance(sigma_half, np.ndarray):
         if sigma_half.shape != (m, m):
             raise DimensionError(
@@ -230,13 +236,14 @@ def make_noise_scale(sigma_half: SigmaHalf, m: int):
             eps = _check_last_axis(eps, m, "noise_scale")
             return eps @ s.T
 
-        return noise_scale
-    scale = float(sigma_half)
+    else:
+        scale = float(sigma_half)
 
-    def noise_scale(eps):
-        eps = _check_last_axis(eps, m, "noise_scale")
-        return scale * eps
+        def noise_scale(eps):
+            eps = _check_last_axis(eps, m, "noise_scale")
+            return scale * eps
 
+    noise_scale.sigma_half = sigma_half
     return noise_scale
 
 

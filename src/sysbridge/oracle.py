@@ -1,9 +1,11 @@
 """Analytic linear-Gaussian machinery.
 
-Exact conjugate posteriors, exact conditional-expectation denoisers and
-dense marginal scores for Gaussian priors.  These are the ground truth the
+Exact conjugate posteriors, exact conditional-expectation denoisers, dense
+marginal scores for Gaussian priors, and the forward process's closed-form
+marginal (mean map H_t, covariance Sigma_t).  These are the ground truth the
 forward process, the reverse sampler and the trained network are validated
-against.  All conditioning goes through the joint Gaussian with
+against.  Every dense routine refuses d > MAX_DENSE_DIM with a
+`CapacityError`.  All conditioning goes through the joint Gaussian with
 eigendecomposition-based pseudo-inverses, so zero noise and rank-deficient
 operators are handled without forming explicit precision matrices.
 """
@@ -104,12 +106,37 @@ def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) 
     return GaussianBelief(mean=mean, cov=cov)
 
 
+def mean_apply(sys: LinearSystem, coeffs: ScheduleCoeffs, x) -> np.ndarray:
+    """Action of the forward process's marginal mean map H_t."""
+    rng_part = linop.project_range(sys, x)
+    return rng_part + coeffs.alpha * (np.asarray(x, dtype=np.float64) - rng_part)
+
+
+def mean_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
+    """Dense H_t."""
+    _require_dense_scale(sys.d)
+    return mean_apply(sys, coeffs, np.eye(sys.d)).T
+
+
+def covariance_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
+    """Dense Sigma_t = gamma_t A+ Sigma A+^T + beta_t (I - A+ A)."""
+    _require_dense_scale(sys.d)
+    pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(sys.m))).T  # A+ S, d x m
+    proj = linop.project_range(sys, np.eye(sys.d)).T
+    null_proj = np.eye(sys.d) - proj
+    return _sym(coeffs.gamma * pinv_noise @ pinv_noise.T + coeffs.beta * null_proj)
+
+
+def analytic_marginal(sys: LinearSystem, coeffs: ScheduleCoeffs, x0) -> GaussianBelief:
+    """Closed-form Gaussian marginal of the corrupted state at coeffs.t."""
+    x0 = np.asarray(x0, dtype=np.float64)
+    return GaussianBelief(mean=mean_apply(sys, coeffs, x0), cov=covariance_matrix(sys, coeffs))
+
+
 def _marginal_pieces(prior: GaussianBelief, sys: LinearSystem, coeffs: ScheduleCoeffs):
     """Dense (H, marginal mean, marginal covariance) of the corrupted state."""
-    from . import forward
-
-    h = forward.mean_matrix(sys, coeffs)
-    sigma_t = forward.covariance_matrix(sys, coeffs)
+    h = mean_matrix(sys, coeffs)
+    sigma_t = covariance_matrix(sys, coeffs)
     marg_mean = h @ prior.mean
     marg_cov = _sym(h @ prior.cov @ h.T + sigma_t)
     return h, marg_mean, marg_cov

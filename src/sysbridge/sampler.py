@@ -35,10 +35,11 @@ null part and has the law of A+ S eps (see `linop`):
 One d-wide Gaussian draw per step instead of a d-wide and an m-wide one,
 at no extra operator call.
 
-When the system is noiseless the range component carries the signal exactly,
-so range noise and range drift are skipped and, with the range lock on, the
-range part x + u is replaced by the chain's initial range component A+ y,
-which pins the range inside the same split.
+When the system is noiseless the range component carries the signal exactly:
+range noise and range drift are skipped, and the range part x + u is
+replaced by the chain's initial range component A+ y, which pins the range
+inside the same split.  `reverse_step` maps arrays to arrays; `sample` checks
+after every step that the chain stayed finite.
 
 Every scalar a step needs is a function of its grid point alone, so a pass
 walks a step plan: one (t, dt, coeffs) per step, with t, dt and the
@@ -59,7 +60,6 @@ import numpy as np
 
 from . import linop
 from .errors import DimensionError, DivergenceError
-from .forward import ProcessState
 from .linop import LinearSystem
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 
@@ -71,17 +71,15 @@ TIME_GRIDS = ("uniform", "stiffness")
 class SamplerConfig:
     """One sampling run: the ``[sample]`` config section.
 
-    `noiseless_range_lock` is the config key ``range_lock`` (the ``ini``
-    metadata).  `spec`, the schedule the reverse pass walks, is required and
-    has no key: a config gives its ``[schedule]`` section.  Only the
-    command line reads `n_samples`, the number of draws of ``sample
-    --simulate``; `sample` takes its batch from its arguments.
+    `spec`, the schedule the reverse pass walks, is required and has no key
+    (its ``ini`` metadata is None): a config gives its ``[schedule]``
+    section.  Only the command line reads `n_samples`, the number of draws
+    of ``sample --simulate``; `sample` takes its batch from its arguments.
     """
 
     n_steps: int = 100
     n_samples: int = 16
     seed: int = 0
-    noiseless_range_lock: bool = field(default=True, metadata={"ini": "range_lock"})
     keep_every: int = 0  # 0 disables checkpoint retention
     time_grid: str = "uniform"
     spec: ScheduleSpec = field(kw_only=True, metadata={"ini": None})
@@ -97,6 +95,14 @@ class SamplerConfig:
             raise ValueError("keep_every must be >= 0")
         if self.time_grid not in TIME_GRIDS:
             raise ValueError(f"unknown time grid {self.time_grid!r}, expected {TIME_GRIDS}")
+
+
+@dataclass
+class ProcessState:
+    """A kept state of a reverse pass: the chain batch and its time."""
+
+    x: np.ndarray
+    t: float
 
 
 @dataclass
@@ -160,7 +166,7 @@ def _step_plan(spec: ScheduleSpec, n_steps: int, mode: str):
     return tuple(plan)
 
 
-def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> ProcessState:
+def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> np.ndarray:
     """Reconstruction-plus-null-noise chain start at t = 1 - eps1.
 
     y may carry leading batch axes; each row seeds one chain.
@@ -174,8 +180,7 @@ def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> ProcessState:
     noise = rng.standard_normal(y.shape[:-1] + (sys.d,))
     noise *= np.sqrt(beta)
     # A+ y plus the null part of the noise
-    x = linop.with_range(sys, noise, 0.0, y)
-    return ProcessState(x=x, t=spec.t_max)
+    return linop.with_range(sys, noise, 0.0, y)
 
 
 def score_drift(
@@ -183,7 +188,6 @@ def score_drift(
     coeffs: ScheduleCoeffs,
     x: np.ndarray,
     denoised: np.ndarray,
-    include_range: bool = True,
 ) -> np.ndarray:
     """Denoiser-based drift term G G^T score, decomposed by subspace."""
     x = np.asarray(x, dtype=np.float64)
@@ -193,26 +197,24 @@ def score_drift(
     d_range = linop.project_range(sys, denoised)
     d_null = denoised - d_range
     out = (coeffs.f_null - 2.0 * coeffs.dlog_alpha_dt) * (coeffs.alpha * d_null - x_null)
-    if include_range:
-        out = out + coeffs.f_range * (d_range - x_range)
-    return out
+    return out + coeffs.f_range * (d_range - x_range)
 
 
 def reverse_step(
     sys: LinearSystem,
     coeffs: ScheduleCoeffs,
-    state: ProcessState,
+    x: np.ndarray,
     denoised: np.ndarray,
     dt: float,
     rng,
     locked_range: Optional[np.ndarray] = None,
-) -> ProcessState:
-    """One Euler-Maruyama update from state.t down to state.t - dt.
+) -> np.ndarray:
+    """One Euler-Maruyama update of x from coeffs.t down to coeffs.t - dt.
 
     The update is one range/null split, so it costs one `apply` and one
-    `apply_pinv` (see the module docstring).  With ``locked_range`` given
-    (noiseless systems), the new range part is that vector instead of the
-    current one.
+    `apply_pinv` (see the module docstring).  A noiseless system needs
+    ``locked_range``, the chain's range part A+ y, which becomes the new
+    range part; a noisy one takes None.
 
     Noise order per step is fixed: the measurement-space draw first (only
     taken when the system is noisy and not a partial isometry with scalar
@@ -222,9 +224,11 @@ def reverse_step(
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    x = np.asarray(state.x, dtype=np.float64)
-    denoised = np.asarray(denoised, dtype=np.float64)
     noisy = not sys.noise_is_zero
+    if not noisy and locked_range is None:
+        raise ValueError("a noiseless system's step needs locked_range, A+ y")
+    x = np.asarray(x, dtype=np.float64)
+    denoised = np.asarray(denoised, dtype=np.float64)
     lam = coeffs.dlog_alpha_dt
     stiff = coeffs.f_null - 2.0 * lam
 
@@ -240,27 +244,15 @@ def reverse_step(
 
     if locked_range is not None:
         r = locked_range
-    elif noisy:
+    else:
         # x + u = x + dt f_range (d - x)
         r = np.subtract(denoised, x, out=tmp)
         r *= dt * coeffs.f_range
         r += x
-    else:
-        r = x
     if range_draw is not None:
         # the range part of the signal-space draw is the range noise
         r = np.add(r, range_draw, out=range_draw)
-    x_new = linop.with_range(sys, v, r, range_noise)
-
-    if not np.isfinite(x_new).all():
-        drift = score_drift(sys, coeffs, x, denoised, include_range=noisy)
-        drift = drift - lam * linop.project_null(sys, x)
-        raise DivergenceError(
-            f"reverse step diverged at t={state.t:.6f} "
-            f"(|drift|={float(np.max(np.abs(drift))):.3e})",
-            t=state.t,
-        )
-    return ProcessState(x=x_new, t=state.t - dt)
+    return linop.with_range(sys, v, r, range_noise)
 
 
 def sample(
@@ -276,7 +268,8 @@ def sample(
     With 1-D y and n_chains > 1, the measurement is shared across chains;
     a 2-D y runs one chain per row.  The denoiser receives the whole chain
     batch at once.  Checkpoints are retained every config.keep_every steps
-    when that is nonzero.
+    when that is nonzero.  A step that leaves a non-finite state raises
+    `DivergenceError` with its index and time.
     """
     spec = config.spec
     if rng is None:
@@ -285,20 +278,24 @@ def sample(
     if y.ndim == 1 and n_chains > 1:
         y = np.broadcast_to(y, (n_chains, y.shape[0])).copy()
 
-    state = initialize(sys, spec, y, rng)
-    locked_range = None
-    if config.noiseless_range_lock and sys.noise_is_zero:
-        # the range part of the chain start
-        locked_range = sys.apply_pinv(y)
+    x = initialize(sys, spec, y, rng)
+    # the range part of the chain start
+    locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
 
     states = [] if config.keep_every else None
+    t_kept = spec.t_max
     for k, (t, dt, coeffs) in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
-        denoised = denoiser(state.x, t)
-        try:
-            state = reverse_step(sys, coeffs, state, denoised, dt, rng, locked_range)
-        except DivergenceError as exc:
-            raise DivergenceError(f"chain failed at step {k}: {exc}", step=k, t=t) from exc
+        denoised = denoiser(x, t)
+        x = reverse_step(sys, coeffs, x, denoised, dt, rng, locked_range)
+        if not np.isfinite(x).all():
+            raise DivergenceError(
+                f"chain diverged at step {k} (t={t:.6f}, "
+                f"max|denoised|={float(np.max(np.abs(denoised))):.3e})",
+                step=k,
+                t=t,
+            )
+        t_kept -= dt
         if states is not None and (k + 1) % config.keep_every == 0:
-            states.append(ProcessState(x=state.x.copy(), t=state.t))
+            states.append(ProcessState(x=x.copy(), t=t_kept))
 
-    return SampleTrace(final=state.x, states=states)
+    return SampleTrace(final=x, states=states)

@@ -437,29 +437,28 @@ def ssim(x, ref, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) 
 # ---------------------------------------------------------------------------
 # toy datasets
 
-def sample_gaussian(n, mean, cov, rng):
+def sample_gaussian(n, mean, var, rng):
+    """n draws of N(mean, var I) for a scalar variance ``var``."""
     mean = np.asarray(mean, dtype=np.float64)
-    d = mean.shape[0]
-    cov = np.asarray(cov, dtype=np.float64)
-    if cov.ndim == 0:
-        cov = float(cov) * np.eye(d)
-    if n == 0:
-        return np.zeros((0, d))
-    return rng.multivariate_normal(mean, cov, size=n, method="cholesky")
+    z = rng.standard_normal((n, mean.shape[0]))
+    z *= math.sqrt(var)
+    z += mean
+    return z
 
 
-def sample_gaussian_mixture(n, weights, means, covs, rng):
+def sample_gaussian_mixture(n, weights, means, variances, rng):
+    """n draws of a mixture of N(means[k], variances[k] I)."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 1 or np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError("mixture weights must be non-negative and sum to 1")
-    if len(means) != weights.size or len(covs) != weights.size:
+    if len(means) != weights.size or len(variances) != weights.size:
         raise ValueError("mixture weights, means and covs must align")
     d = np.asarray(means[0]).shape[0]
     if n == 0:
         return np.zeros((0, d))
     counts = rng.multinomial(n, weights)
     chunks = [
-        sample_gaussian(c, means[k], covs[k], rng) for k, c in enumerate(counts) if c
+        sample_gaussian(c, means[k], variances[k], rng) for k, c in enumerate(counts) if c
     ]
     data = np.concatenate(chunks, axis=0)
     return data[rng.permutation(n)]

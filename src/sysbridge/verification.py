@@ -114,7 +114,7 @@ def suite_marginals(n_traj: int = 20000, n_steps: int = 2000) -> List[CheckResul
         )
         for t in checks:
             xs = rec[t]
-            ana = forward.analytic_marginal(sys, schedule.evaluate(spec, t), x0)
+            ana = oracle.analytic_marginal(sys, schedule.evaluate(spec, t), x0)
             mean_err = np.linalg.norm(xs.mean(axis=0) - ana.mean) / max(
                 np.linalg.norm(ana.mean), 1e-12
             )
@@ -186,10 +186,10 @@ def suite_gradients(n_points: int = 20, h: float = 1e-5) -> List[CheckResult]:
 
         _, grads = loss_at()
         # keep clear of the L1 kink: residual entries must not sit near zero
-        state = forward.forward_sample(
+        x_t = forward.forward_sample(
             sys, coeffs, np.atleast_2d(x0), np.random.default_rng(noise_seed)
         )
-        resid = dn.forward_denoise(net, state.x, coeffs.t) - x0
+        resid = dn.forward_denoise(net, x_t, coeffs.t) - x0
         if float(np.min(np.abs(resid))) < 1e-3:
             continue
         done += 1

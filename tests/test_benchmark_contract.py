@@ -46,3 +46,20 @@ def test_traced_train_mixture_job(perfbench, tmp_path):
     metrics = trace.layer_metrics()
     assert metrics["denoiser.params"] == (19202, "count")
     assert _files() == files
+
+
+def test_traced_recon_inpaint_job(perfbench, tmp_path):
+    files, tracer, workloads = perfbench
+    trace = tracer.Tracer()
+    workload = workloads.ReconInpaint(seed=3, workdir=tmp_path)
+    workload.prepare()
+    # set up and run inside traced blocks, as perfbench's run.measure_traced does
+    with trace.active():
+        state = workload.setup(trace)
+    with trace.active():
+        job = workload.run(state, 0, trace)
+    assert (job.failed, job.errors) == (0, [])
+    assert trace.calls("sampler.reverse_step") == workloads.SAMPLE_STEPS == 100
+    assert trace.layer_metrics()["linop.calls_per_step"] == (2.0, "count/step")
+    assert trace.adds_up()
+    assert _files() == files

@@ -161,7 +161,8 @@ OUT_OF_RANGE = {
     "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
     "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
     "time_grid": ("sample", GAUSS_TOY_INI, "sample", {"time_grid": "foo"}),
-    "range_lock": ("sample", GAUSS_TOY_INI, "sample", {"range_lock": "maybe"}),
+    # noiseless chains always pin their range part: range_lock is no key
+    "range_lock": ("sample", GAUSS_TOY_INI, "sample", {"range_lock": "true"}),
     # a non-finite float is refused where it is read, whatever the range check
     "lr_nan": ("train", MEMORIZE_INI, "train", {"lr": "nan"}),
     "b0_nan": ("train", MEMORIZE_INI, "schedule", {"b0": "nan"}),
@@ -291,7 +292,6 @@ activation = silu""",
 n_steps = 100
 n_samples = 16
 seed = 0
-range_lock = true
 keep_every = 0
 time_grid = uniform""",
 }
@@ -381,6 +381,30 @@ class TestSample:
             "--simulate",
         ])
         assert code == 2
+
+    def test_oracle_denoiser_above_dense_limit_exit_2_with_one_line(self, tmp_path, capsys):
+        # 17 x 17 = 289 signal dims, above the oracle's dense limit of 256
+        cfg, _ = write_config(tmp_path, _override(MEMORIZE_INI, "task", image_side=17, dataset="field"))
+        capsys.readouterr()
+        assert cli.main(["sample", "--config", str(cfg), "--oracle-denoiser", "--simulate"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+    def test_overflowing_checkpoint_exit_1_with_one_line(self, tmp_path, capsys):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+        net = dn.init_net(16, hidden=(8,), seed=0)
+        net.flat[:] = 1e200  # finite weights whose products overflow
+        ckpt = tmp_path / "overflow.ckpt"
+        dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = cli.main([
+                "sample", "--config", str(cfg), "--checkpoint", str(ckpt), "--simulate",
+                "--output", str(tmp_path / "run"),
+            ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("numerical failure: chain diverged at step 0 ") and err.count("\n") == 1, err
 
     def test_oracle_denoiser_posterior_artifacts(self, tmp_path):
         cfg, out = write_config(tmp_path, GAUSS_TOY_INI)

@@ -102,14 +102,14 @@ class TestLossAndGrad:
             loss, grads = loss_fn()
             from sysbridge import forward as fwd
 
-            state = fwd.forward_sample(sys, coeffs, np.atleast_2d(x0), np.random.default_rng(seed))
-            resid = dn.forward_denoise(net, state.x, coeffs.t) - x0
+            x_t = fwd.forward_sample(sys, coeffs, np.atleast_2d(x0), np.random.default_rng(seed))
+            resid = dn.forward_denoise(net, x_t, coeffs.t) - x0
             if np.min(np.abs(resid)) < 1e-3:
                 continue
             if activation == "relu":
                 # keep away from activation kinks as well
                 feats = dn.time_features(coeffs.t)
-                _, _, pres = dn._forward_tape(net, dn._input_features(state.x, feats))
+                _, _, pres = dn._forward_tape(net, dn._input_features(x_t, feats))
                 if min(float(np.min(np.abs(p))) for p in pres[:-1]) < 1e-3:
                     continue
             checked += 1
@@ -292,8 +292,8 @@ def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
         for start in range(0, data.shape[0], tcfg.batch_size):
             batch = data[order[start : start + tcfg.batch_size]]
             coeffs = schedule.evaluate(spec, rng.uniform(spec.t_min, spec.t_max))
-            state = forward.forward_sample(sys, coeffs, batch, rng)
-            loss, grads = _ref_l1_loss_and_grad(net, weights, biases, state.x, coeffs.t, batch)
+            x_t = forward.forward_sample(sys, coeffs, batch, rng)
+            loss, grads = _ref_l1_loss_and_grad(net, weights, biases, x_t, coeffs.t, batch)
             step += 1
             c1 = 1.0 - beta1 ** step
             c2 = 1.0 - beta2 ** step

@@ -6,7 +6,7 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from sysbridge import forward, linop, schedule
+from sysbridge import forward, linop, oracle, schedule
 from sysbridge.errors import DivergenceError
 
 
@@ -51,11 +51,11 @@ class TestForwardSample:
         spec = schedule.ScheduleSpec("vp")
         x0 = np.array([1.5, -0.5])
         for t in (0.1, 0.5, 0.9):
-            state = forward.forward_sample(
+            x_t = forward.forward_sample(
                 sys, schedule.evaluate(spec, t), x0, np.random.default_rng(0)
             )
             np.testing.assert_allclose(
-                linop.project_range(sys, state.x), [1.5, 0.0], atol=1e-12
+                linop.project_range(sys, x_t), [1.5, 0.0], atol=1e-12
             )
 
     def test_pure_null_terminal_is_standard_gaussian(self):
@@ -64,7 +64,7 @@ class TestForwardSample:
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, spec.t_max)
         rng = np.random.default_rng(1)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((50_000, 3)), rng).x
+        xs = forward.forward_sample(sys, coeffs, np.zeros((50_000, 3)), rng)
         assert abs(xs.mean()) < 0.02
         assert abs(xs.var() - coeffs.beta) < 0.02
 
@@ -73,7 +73,7 @@ class TestForwardSample:
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, 0.0625)  # gamma = 0.25
         rng = np.random.default_rng(2)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 3)), rng).x
+        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 3)), rng)
         assert coeffs.gamma == pytest.approx(0.25)
         np.testing.assert_allclose(xs.var(axis=0), 0.25 * 4.0, rtol=0.03)
 
@@ -84,7 +84,7 @@ class TestForwardSample:
         x2 = np.array([-0.3, 0.7])
         out = {}
         for name, x in (("x1", x1), ("x2", x2), ("sum", x1 + x2), ("zero", 0 * x1)):
-            out[name] = forward.forward_sample(sys, coeffs, x, np.random.default_rng(7)).x
+            out[name] = forward.forward_sample(sys, coeffs, x, np.random.default_rng(7))
         np.testing.assert_allclose(
             out["x1"] + out["x2"] - out["zero"], out["sum"], atol=1e-12
         )
@@ -102,12 +102,12 @@ class TestFusedUpdate:
         x0 = rng.standard_normal((6, 4))
         for variant in ("sb", "vp", "ve"):
             coeffs = schedule.evaluate(schedule.ScheduleSpec(variant), 0.3)
-            out = forward.forward_sample(sys, coeffs, x0, np.random.default_rng(5)).x
+            out = forward.forward_sample(sys, coeffs, x0, np.random.default_rng(5))
             draws = np.random.default_rng(5)
             eps = draws.standard_normal((6, 2))
             eps_null = draws.standard_normal((6, 4))
             expected = (
-                forward.mean_apply(sys, coeffs, x0)
+                oracle.mean_apply(sys, coeffs, x0)
                 + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(eps))
                 + np.sqrt(coeffs.beta) * linop.project_null(sys, eps_null)
             )
@@ -119,7 +119,7 @@ class TestFusedUpdate:
         spec = schedule.ScheduleSpec("sb")
         out = forward.simulate_forward_sde(
             sys, spec, x0, 1, np.random.default_rng(6), exact_start=False
-        ).x
+        )
         dt = spec.t_max - spec.t_min
         dd = drift_diffusion(sys, schedule.evaluate(spec, spec.t_min))
         draws = np.random.default_rng(6)
@@ -154,7 +154,7 @@ class TestAnalyticMarginal:
         sys = linop.identity_system(3)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x0 = np.array([1.0, 2.0, 3.0])
-        bel = forward.analytic_marginal(sys, coeffs, x0)
+        bel = oracle.analytic_marginal(sys, coeffs, x0)
         np.testing.assert_allclose(bel.mean, x0)
         np.testing.assert_allclose(bel.cov, np.zeros((3, 3)), atol=1e-12)
 
@@ -167,14 +167,14 @@ class TestAnalyticMarginal:
             dlog_alpha_dt=-2.0, gnull_sq=0.5, f_range=5.0, f_null=2.0,
         )
         x0 = np.array([2.0, 4.0])
-        bel = forward.analytic_marginal(sys, coeffs, x0)
+        bel = oracle.analytic_marginal(sys, coeffs, x0)
         np.testing.assert_allclose(bel.mean, [2.0, 2.0])
         np.testing.assert_allclose(bel.cov, np.diag([0.0, 0.25]), atol=1e-12)
 
     def test_range_covariance_with_dense_noise(self):
         sys = linop.build_dense_system(np.eye(2), sigma_half=np.diag([1.0, 2.0]))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.25)  # gamma = 0.5
-        bel = forward.analytic_marginal(sys, coeffs, np.zeros(2))
+        bel = oracle.analytic_marginal(sys, coeffs, np.zeros(2))
         np.testing.assert_allclose(bel.cov, np.diag([0.5, 2.0]), atol=1e-12)
 
 
@@ -201,13 +201,13 @@ class TestDriftDiffusion:
         t0, t1 = 0.1, 0.9
         n = 20_000
         dt = (t1 - t0) / n
-        h = forward.mean_matrix(sys, schedule.evaluate(spec, t0))
+        h = oracle.mean_matrix(sys, schedule.evaluate(spec, t0))
         for k in range(n):
             coeffs = schedule.evaluate(spec, t0 + k * dt)
             h = h + dt * coeffs.dlog_alpha_dt * (
                 h - linop.project_range(sys, h.T).T
             )
-        target = forward.mean_matrix(sys, schedule.evaluate(spec, t1))
+        target = oracle.mean_matrix(sys, schedule.evaluate(spec, t1))
         assert np.max(np.abs(h - target)) < 1e-4
 
     def test_commutation_of_drift_operators(self):
@@ -228,11 +228,11 @@ class TestSimulator:
         sys = mask_system()
         spec = schedule.ScheduleSpec("ve")  # dlog_alpha = 0: drift-free
         x0 = np.array([1.0, 2.0])
-        state = forward.simulate_forward_sde(
+        xs = forward.simulate_forward_sde(
             sys, spec, np.broadcast_to(x0, (20_000, 2)).copy(), 1,
             np.random.default_rng(0), exact_start=False,
         )
-        np.testing.assert_allclose(state.x.mean(axis=0), x0, atol=0.05 * 10)
+        np.testing.assert_allclose(xs.mean(axis=0), x0, atol=0.05 * 10)
 
     def test_null_terminal_variance_sb(self):
         # eps1 large enough that 1000 uniform steps resolve the terminal
@@ -240,11 +240,9 @@ class TestSimulator:
         spec = schedule.ScheduleSpec("sb", b0=0.1, b1=0.1, eps1=0.05)
         sys = mask_system()
         x0 = np.zeros((20_000, 2))
-        state = forward.simulate_forward_sde(
-            sys, spec, x0, 1000, np.random.default_rng(1)
-        )
+        xs = forward.simulate_forward_sde(sys, spec, x0, 1000, np.random.default_rng(1))
         beta_end = schedule.evaluate(spec, spec.t_max).beta
-        assert state.x[:, 1].var() == pytest.approx(beta_end, rel=0.05)
+        assert xs[:, 1].var() == pytest.approx(beta_end, rel=0.05)
 
     def test_divergence_reports_step(self):
         sys = mask_system()
@@ -271,7 +269,7 @@ class TestSimulator:
                 np.random.default_rng(99), checkpoint_times=checks,
             )
             for t in checks:
-                ana = forward.analytic_marginal(sys, schedule.evaluate(spec, t), x0)
+                ana = oracle.analytic_marginal(sys, schedule.evaluate(spec, t), x0)
                 xs = rec[t]
                 mean_err = np.linalg.norm(xs.mean(axis=0) - ana.mean) / np.linalg.norm(ana.mean)
                 cov_err = np.linalg.norm(np.cov(xs.T) - ana.cov) / np.linalg.norm(ana.cov)
@@ -281,7 +279,7 @@ class TestSimulator:
         sys = mask_system(sigma=1.0)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         rng = np.random.default_rng(4)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 2)), rng).x
+        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 2)), rng)
         r = xs[:, 0]
         n = xs[:, 1]
         cross = np.mean(r * n) - r.mean() * n.mean()

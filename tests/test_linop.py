@@ -1,6 +1,7 @@
 """Measurement-system algebra: pseudoinverse, projections."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -154,3 +155,21 @@ class TestNoiseFactor:
 
         assert dataclasses.replace(sys, noise_scale=noise_scale).noise_scale is noise_scale
         assert dataclasses.replace(sys, kappa=None).noise_scale is sys.noise_scale
+
+    def test_replaced_sigma_half_rebuilds_noise_scale(self):
+        for old, new in ((0.1, 0.5), (np.diag([0.1, 0.2]), np.diag([0.5, 0.5]))):
+            sys = linop.identity_system(2, sigma_half=old)
+            moved = dataclasses.replace(sys, sigma_half=new)
+            expected = new * np.eye(2) if np.isscalar(new) else new
+            np.testing.assert_array_equal(linop.materialize_noise_half(moved), expected)
+            assert moved.range_noise_gain == (0.5 if np.isscalar(new) else None)
+
+    def test_wrapped_noise_scale_is_kept(self):
+        # a wrapper that copies the closure's record (functools.wraps) is kept
+        sys = linop.identity_system(2, sigma_half=0.3)
+
+        @functools.wraps(sys.noise_scale)
+        def wrapped(eps):
+            return sys.noise_scale(eps)
+
+        assert dataclasses.replace(sys, noise_scale=wrapped).noise_scale is wrapped

@@ -122,7 +122,7 @@ class TestOracleDenoiser:
         den = oracle.oracle_denoiser(prior, sys, coeffs)
         rng = np.random.default_rng(5)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=100_000)
-        xt = forward.forward_sample(sys, coeffs, x0, rng).x
+        xt = forward.forward_sample(sys, coeffs, x0, rng)
         # bin on the null coordinate and compare conditional means
         z = xt[:, 1]
         for lo, hi in ((0.4, 0.6), (-1.1, -0.9)):
@@ -155,7 +155,7 @@ class TestOracleDenoiser:
         den = oracle.oracle_denoiser(prior, sys, coeffs)
         rng = np.random.default_rng(10)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=200_000)
-        xt = forward.forward_sample(sys, coeffs, x0, rng).x
+        xt = forward.forward_sample(sys, coeffs, x0, rng)
         avg = den(xt).mean(axis=0)
         se = np.sqrt(np.diag(prior.cov) / len(x0))
         assert np.all(np.abs(avg - prior.mean) < 4 * se + 1e-3)
@@ -166,7 +166,7 @@ class TestDenseScore:
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]), sigma_half=0.3)
         prior = toy_prior(2, seed=11)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        h = forward.mean_matrix(sys, coeffs)
+        h = oracle.mean_matrix(sys, coeffs)
         score = oracle.dense_score(prior, sys, coeffs, h @ prior.mean)
         np.testing.assert_allclose(score, np.zeros(2), atol=1e-10)
 
@@ -187,8 +187,8 @@ class TestDenseScore:
         sys = linop.identity_system(1, sigma_half=0.8)
         prior = oracle.GaussianBelief(np.array([0.4]), np.array([[0.9]]))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.3)
-        h = float(forward.mean_matrix(sys, coeffs)[0, 0])
-        var = h ** 2 * 0.9 + float(forward.covariance_matrix(sys, coeffs)[0, 0])
+        h = float(oracle.mean_matrix(sys, coeffs)[0, 0])
+        var = h ** 2 * 0.9 + float(oracle.covariance_matrix(sys, coeffs)[0, 0])
         mean = h * 0.4
         xs = np.linspace(mean - 10 * np.sqrt(var), mean + 10 * np.sqrt(var), 20_001)
         scores = np.array([oracle.dense_score(prior, sys, coeffs, np.array([x]))[0] for x in xs])

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from sysbridge import denoiser as dn
-from sysbridge import forward, linop, oracle, sampler, schedule
+from sysbridge import linop, oracle, sampler, schedule
 from sysbridge.verification import posterior_problem
-from sysbridge.errors import DimensionError
+from sysbridge.errors import DimensionError, DivergenceError
 
 
 def mask_system(sigma=0.0):
@@ -18,9 +18,8 @@ class TestInitialize:
         sys = linop.identity_system(3)
         spec = schedule.ScheduleSpec("vp")
         y = np.array([1.0, -2.0, 0.3])
-        state = sampler.initialize(sys, spec, y, np.random.default_rng(0))
-        np.testing.assert_allclose(state.x, y, atol=1e-12)
-        assert state.t == spec.t_max
+        x = sampler.initialize(sys, spec, y, np.random.default_rng(0))
+        np.testing.assert_allclose(x, y, atol=1e-12)
 
     def test_mask_null_noise_scale(self):
         sys = mask_system()
@@ -28,19 +27,19 @@ class TestInitialize:
         beta = schedule.evaluate(spec, spec.t_max).beta
         rng = np.random.default_rng(1)
         ys = np.full((100_000, 1), 3.0)
-        state = sampler.initialize(sys, spec, ys, rng)
-        np.testing.assert_allclose(state.x[:, 0], 3.0, atol=1e-12)
-        assert state.x[:, 1].mean() == pytest.approx(0.0, abs=0.02)
-        assert state.x[:, 1].var() == pytest.approx(beta, rel=0.03)
+        x = sampler.initialize(sys, spec, ys, rng)
+        np.testing.assert_allclose(x[:, 0], 3.0, atol=1e-12)
+        assert x[:, 1].mean() == pytest.approx(0.0, abs=0.02)
+        assert x[:, 1].var() == pytest.approx(beta, rel=0.03)
 
     def test_ve_noise_scale(self):
         sys = mask_system()
         spec = schedule.ScheduleSpec("ve", sigma_max=10.0)
         rng = np.random.default_rng(2)
         ys = np.zeros((50_000, 1))
-        state = sampler.initialize(sys, spec, ys, rng)
+        x = sampler.initialize(sys, spec, ys, rng)
         expected_std = np.sqrt(10.0) * (1.0 - spec.eps1) ** 0.25
-        assert state.x[:, 1].std() == pytest.approx(expected_std, rel=0.03)
+        assert x[:, 1].std() == pytest.approx(expected_std, rel=0.03)
 
     def test_dimension_mismatch(self):
         sys = mask_system()
@@ -52,19 +51,26 @@ class TestReverseStep:
     def test_zero_dt_only_locks(self):
         sys = mask_system()
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        state = forward.ProcessState(x=np.array([1.0, 2.0]), t=0.5)
-        out = sampler.reverse_step(sys, coeffs, state, np.zeros(2), 0.0, np.random.default_rng(0))
-        np.testing.assert_allclose(out.x, state.x)
-        assert out.t == 0.5
+        x = np.array([1.0, 2.0])
+        out = sampler.reverse_step(
+            sys, coeffs, x, np.zeros(2), 0.0, np.random.default_rng(0), np.array([1.0, 0.0])
+        )
+        np.testing.assert_allclose(out, x)
 
     def test_stationary_when_denoised_matches(self):
         # identity system, no noise, denoised == x: drift vanishes entirely
         sys = linop.identity_system(2)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([0.4, -1.2])
-        state = forward.ProcessState(x=x.copy(), t=0.5)
-        out = sampler.reverse_step(sys, coeffs, state, x.copy(), 0.01, np.random.default_rng(0))
-        np.testing.assert_allclose(out.x, x, atol=1e-12)
+        out = sampler.reverse_step(sys, coeffs, x, x.copy(), 0.01, np.random.default_rng(0), x.copy())
+        np.testing.assert_allclose(out, x, atol=1e-12)
+
+    def test_noiseless_step_needs_locked_range(self):
+        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
+        with pytest.raises(ValueError, match="locked_range"):
+            sampler.reverse_step(
+                mask_system(), coeffs, np.ones(2), np.zeros(2), 0.01, np.random.default_rng(0)
+            )
 
     def test_matches_dense_transcription(self):
         # one step against an explicit dense-matrix evaluation of the update;
@@ -77,10 +83,7 @@ class TestReverseStep:
         x = np.array([0.8, -0.6])
         denoised = np.array([0.5, 0.25])
         seed = 31
-        out = sampler.reverse_step(
-            sys, coeffs, forward.ProcessState(x=x.copy(), t=t), denoised, dt,
-            np.random.default_rng(seed),
-        )
+        out = sampler.reverse_step(sys, coeffs, x.copy(), denoised, dt, np.random.default_rng(seed))
 
         a = np.array([[1.0, 0.0]])
         a_pinv = a.T
@@ -96,7 +99,7 @@ class TestReverseStep:
             + np.sqrt(coeffs.gnull_sq) * nullp @ z
         )
         expected = x + dt * drift + np.sqrt(dt) * noise
-        np.testing.assert_allclose(out.x, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
@@ -106,7 +109,7 @@ def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
     s sqrt(kappa) times the range part of the null-noise draw."""
     noisy = not sys.noise_is_zero
     gain = sys.range_noise_gain
-    drift = sampler.score_drift(sys, coeffs, x, denoised, include_range=noisy)
+    drift = sampler.score_drift(sys, coeffs, x, denoised)
     drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
     noise = np.zeros_like(x)
     if noisy and coeffs.dgamma_dt > 0 and gain is None:
@@ -127,13 +130,12 @@ class TestFusedStep:
 
     def check(self, sys, coeffs, x, denoised, dt, seed, locked_range=None):
         out = sampler.reverse_step(
-            sys, coeffs, forward.ProcessState(x=x.copy(), t=coeffs.t), denoised, dt,
-            np.random.default_rng(seed), locked_range,
+            sys, coeffs, x.copy(), denoised, dt, np.random.default_rng(seed), locked_range
         )
         expected = transcribed_step(
             sys, coeffs, x, denoised, dt, np.random.default_rng(seed), locked_range
         )
-        np.testing.assert_allclose(out.x, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_random_noisy_dense_systems(self):
         rng = np.random.default_rng(8)
@@ -156,14 +158,12 @@ class TestFusedStep:
         for variant in ("sb", "vp", "ve"):
             coeffs = schedule.evaluate(schedule.ScheduleSpec(variant), 0.6)
             self.check(sys, coeffs, x, rng.standard_normal((4, 6)), 0.01, 1, locked)
-            self.check(sys, coeffs, x, rng.standard_normal((4, 6)), 0.01, 2)
 
     def test_zero_dt(self):
         rng = np.random.default_rng(10)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = rng.standard_normal(2)
         self.check(mask_system(sigma=0.5), coeffs, x, rng.standard_normal(2), 0.0, 3)
-        self.check(mask_system(), coeffs, x, rng.standard_normal(2), 0.0, 3)
         self.check(mask_system(), coeffs, x, rng.standard_normal(2), 0.0, 3, np.array([0.7, 0.0]))
 
 
@@ -173,16 +173,15 @@ class TestOperatorCalls:
     def test_reverse_step_noisy(self, counting):
         sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
-        state = forward.ProcessState(x=np.ones((4, 3)), t=0.5)
-        sampler.reverse_step(sys, coeffs, state, np.zeros((4, 3)), 0.01, np.random.default_rng(0))
+        sampler.reverse_step(sys, coeffs, np.ones((4, 3)), np.zeros((4, 3)), 0.01, np.random.default_rng(0))
         assert calls == {"apply": 1, "apply_pinv": 1}
 
     def test_reverse_step_noiseless_with_lock(self, counting):
         sys, calls = counting(mask_system())
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
-        state = forward.ProcessState(x=np.ones((4, 2)), t=0.5)
         sampler.reverse_step(
-            sys, coeffs, state, np.zeros((4, 2)), 0.01, np.random.default_rng(0), np.array([1.0, 0.0])
+            sys, coeffs, np.ones((4, 2)), np.zeros((4, 2)), 0.01, np.random.default_rng(0),
+            np.array([1.0, 0.0]),
         )
         assert calls == {"apply": 1, "apply_pinv": 1}
 
@@ -199,21 +198,20 @@ def per_step_sample(sys, config, y, denoiser):
     coefficients computed step by step.  Returns (final, [(x, t) kept])."""
     spec = config.spec
     rng = np.random.default_rng(config.seed)
-    state = sampler.initialize(sys, spec, y, rng)
-    locked_range = None
-    if config.noiseless_range_lock and sys.noise_is_zero:
-        locked_range = sys.apply_pinv(y)
+    x = sampler.initialize(sys, spec, y, rng)
+    locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
     grid = sampler.time_grid(spec, config.n_steps, config.time_grid)
     kept = []
+    t_kept = spec.t_max
     for k in range(config.n_steps):
         t = grid[k]
         dt = t - grid[k + 1]
         coeffs = schedule.evaluate(spec, t)
-        denoised = denoiser(state.x, t)
-        state = sampler.reverse_step(sys, coeffs, state, denoised, dt, rng, locked_range)
+        x = sampler.reverse_step(sys, coeffs, x, denoiser(x, t), dt, rng, locked_range)
+        t_kept -= dt
         if config.keep_every and (k + 1) % config.keep_every == 0:
-            kept.append((state.x.copy(), state.t))
-    return state.x, kept
+            kept.append((x.copy(), t_kept))
+    return x, kept
 
 
 def _noisy_dense(noise):
@@ -225,10 +223,9 @@ def _noisy_dense(noise):
 
 
 PLAN_SYSTEMS = {
-    "noisy_scalar": (lambda: _noisy_dense("scalar"), True),
-    "noisy_matrix": (lambda: _noisy_dense("matrix"), True),
-    "mask_lock": (lambda: linop.build_dense_system(np.eye(6)[[0, 2, 3, 5]]), True),
-    "mask_no_lock": (lambda: linop.build_dense_system(np.eye(6)[[0, 2, 3, 5]]), False),
+    "noisy_scalar": lambda: _noisy_dense("scalar"),
+    "noisy_matrix": lambda: _noisy_dense("matrix"),
+    "mask_lock": lambda: linop.build_dense_system(np.eye(6)[[0, 2, 3, 5]]),
 }
 
 
@@ -240,11 +237,9 @@ class TestStepPlan:
     @pytest.mark.parametrize("grid", sampler.TIME_GRIDS)
     @pytest.mark.parametrize("variant", schedule.VARIANTS)
     def test_bytes_equal_per_step_loop(self, variant, grid, system):
-        build, lock = PLAN_SYSTEMS[system]
-        sys = build()
+        sys = PLAN_SYSTEMS[system]()
         cfg = sampler.SamplerConfig(
-            n_steps=30, spec=schedule.ScheduleSpec(variant), noiseless_range_lock=lock,
-            seed=4, keep_every=7, time_grid=grid,
+            n_steps=30, spec=schedule.ScheduleSpec(variant), seed=4, keep_every=7, time_grid=grid
         )
         y = sys.apply(np.random.default_rng(22).standard_normal((5, 6)))
 
@@ -363,6 +358,23 @@ class TestSample:
         trace = sampler.sample(sys, cfg, y, lambda x, t: x, n_chains=16)
         resid = sys.apply(trace.final) - y
         assert np.max(np.abs(resid)) < 1e-9
+
+    def test_divergence_raised_at_its_step(self):
+        spec = schedule.ScheduleSpec("vp")
+        cfg = sampler.SamplerConfig(n_steps=10, spec=spec, seed=0)
+        times = []
+
+        def den(x, t):
+            times.append(t)
+            return np.full_like(x, np.inf) if len(times) > 3 else x
+
+        with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+            sampler.sample(mask_system(), cfg, np.array([0.5]), den)
+        assert err.value.step == 3
+        assert err.value.t == sampler._step_plan(spec, 10, "uniform")[3][0]
+        message = str(err.value)
+        assert "\n" not in message and "step 3" in message and "max|denoised|=inf" in message
+        assert len(times) == 4
 
     def test_checkpoint_retention(self):
         sys = mask_system()
