@@ -10,8 +10,18 @@ length.  Pair i runs ``perfbench/run.py --seed <seed + i>`` once on each
 side, the parent first on even pairs and the change first on odd ones, one
 run at a time.  The output keeps every run's result line and its
 ``{"perfbench": ...}`` record (machine, BLAS, commit, output digest), the
-median and quartiles of each end-to-end metric per side, and in how many
-pairs the change was lower.
+median and quartiles of each end-to-end metric per side, in how many
+pairs the change was lower, and a verdict per end-to-end metric of
+``BENCHMARK.json``, judged against that metric's ``bound`` in its
+``better`` direction:
+
+- ``better``: the change wins at least 9 in 10 pairs (ties count for
+  neither) and its median beats the parent's by more than the parent's IQR;
+- ``unresolved``: otherwise, if the parent's IQR is more than ``bound``
+  times its median, unless every change run beats every parent run;
+- ``worse``: otherwise, if the change's median is worse than the parent's
+  by more than ``bound`` times the parent's median;
+- ``within bound``: every other case.
 """
 
 from __future__ import annotations
@@ -63,8 +73,33 @@ def side_summary(runs):
     }
 
 
+def end_to_end_bounds():
+    """{metric: (bound, better)} for the end-to-end metrics of BENCHMARK.json."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {m["name"]: (m["bound"], m["better"]) for m in spec["end_to_end"]}
+
+
+def verdict(pairs, bound, better):
+    """The verdict on one metric's (parent, change) value pairs; see the module doc."""
+    sign = 1.0 if better == "lower" else -1.0
+    parent = [sign * p for p, _ in pairs]  # lower is better on both sides now
+    change = [sign * c for _, c in pairs]
+    stats = summary(parent)
+    base, iqr = stats["median"], stats["iqr"]
+    moved = summary(change)["median"] - base
+    if 10 * sum(c < p for p, c in zip(parent, change)) >= 9 * len(pairs) and -moved > iqr:
+        return "better"
+    if iqr > bound * abs(base) and not max(change) < min(parent):
+        return "unresolved"
+    if moved > bound * abs(base):
+        return "worse"
+    return "within bound"
+
+
 def compare(parent_runs, change_runs):
-    """Per metric: pairs where the change is lower, and the median move."""
+    """Per metric: pairs where the change is lower, the median move and, for
+    an end-to-end metric, its verdict."""
+    bounds = end_to_end_bounds()
     parent, change = side_summary(parent_runs), side_summary(change_runs)
     out = {}
     for name in parent:
@@ -74,6 +109,7 @@ def compare(parent_runs, change_runs):
         ]
         base = parent[name]["median"]
         out[name] = {
+            "verdict": verdict(pairs, *bounds[name]) if name in bounds else None,
             "change_lower_pairs": sum(c < p for p, c in pairs),
             "pairs": len(pairs),
             "median_rel_change": (change[name]["median"] - base) / base if base else None,
@@ -128,7 +164,7 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, cmp in pairs.items():
         print(f"{name}: parent {parent[name]['median']:.4g} change {change[name]['median']:.4g} "
-              f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}")
+              f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}: {cmp['verdict']}")
     print(f"written to {out}")
     return 0
 

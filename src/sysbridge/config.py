@@ -30,10 +30,6 @@ from .sampler import SamplerConfig
 from .schedule import ScheduleSpec
 from .tasks import SWEEP_PARAMS, TaskSpec
 
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
-
-
 @dataclass(frozen=True)
 class RunSection:
     run_id: str = "run"
@@ -79,13 +75,6 @@ def parse_value(name: str, raw: str, pytype):
     """``raw`` as a ``pytype``; a ConfigError naming ``name`` if it is not one."""
     raw = raw.strip()
     try:
-        if pytype is bool:
-            low = raw.lower()
-            if low in _BOOL_TRUE:
-                return True
-            if low in _BOOL_FALSE:
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if pytype is int:
             return int(raw)
         if pytype is float:
@@ -150,8 +139,6 @@ def with_seed(cfg: ExperimentConfig, section: str, seed: int) -> ExperimentConfi
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the finite-value check."""
+"""Exception types shared across the package, the finite-value check and
+the dense-size limit."""
 
 import dataclasses
 import math
@@ -44,6 +45,15 @@ class UnsupportedVariantError(ValueError):
 
 class CapacityError(ValueError):
     """A dense materialization was requested above the supported size."""
+
+
+MAX_DENSE_DIM = 256
+
+
+def check_dense_dim(d: int, what: str) -> None:
+    """CapacityError if a dense ``what`` over d signal dims exceeds MAX_DENSE_DIM."""
+    if d > MAX_DENSE_DIM:
+        raise CapacityError(f"{what} limited to d <= {MAX_DENSE_DIM}, got {d}")
 
 
 class DegeneratePosteriorError(ValueError):

@@ -15,10 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CapacityError, NumericalError
+from .errors import NumericalError, check_dense_dim
 from .linop import DEFAULT_CUTOFF, LinearSystem, _check_last_axis, build_dense_system
-
-MAX_JACOBIAN_DIM = 256
 
 
 @dataclass(frozen=True)
@@ -109,8 +107,7 @@ def mle_init(nsys: NonlinearSystem, y, n_iters: int = 5, step: float = 0.5, x0=N
 
 def jacobian_matrix(nsys: NonlinearSystem, x_hat) -> np.ndarray:
     """Dense Jacobian at x_hat, built column by column from jvp."""
-    if nsys.d > MAX_JACOBIAN_DIM:
-        raise CapacityError(f"dense Jacobian limited to d <= {MAX_JACOBIAN_DIM}")
+    check_dense_dim(nsys.d, "dense Jacobian")
     x_hat = np.asarray(x_hat, dtype=np.float64)
     cols = [nsys.jvp(x_hat, e) for e in np.eye(nsys.d)]
     jac = np.stack(cols, axis=1)

@@ -4,8 +4,11 @@ Exact conjugate posteriors, exact conditional-expectation denoisers, dense
 marginal scores for Gaussian priors, and the forward process's closed-form
 marginal (mean map H_t, covariance Sigma_t).  These are the ground truth the
 forward process, the reverse sampler and the trained network are validated
-against.  Every dense routine refuses d > MAX_DENSE_DIM with a
-`CapacityError`.  All conditioning goes through the joint Gaussian with
+against.  Every dense routine refuses d > `errors.MAX_DENSE_DIM` with a
+`CapacityError`.  The oracle denoiser computes its gain at each call and
+keeps nothing between calls.  Its `eigh` and dense products change their
+last bits with the BLAS thread count, so the command line runs the oracle
+path on one thread.  All conditioning goes through the joint Gaussian with
 eigendecomposition-based pseudo-inverses, so zero noise and rank-deficient
 operators are handled without forming explicit precision matrices.
 """
@@ -17,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linop
-from .errors import CapacityError, DegeneratePosteriorError
+from .errors import DegeneratePosteriorError, check_dense_dim
 from .linop import LinearSystem
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 
-MAX_DENSE_DIM = 256
+_DENSE = "dense Gaussian algebra"
 _PSD_TOL = 1e-10
 
 
@@ -65,11 +68,6 @@ def _psd_pinv(mat, tol=_PSD_TOL):
     return pinv, proj, bool(np.any(~keep))
 
 
-def _require_dense_scale(d):
-    if d > MAX_DENSE_DIM:
-        raise CapacityError(f"dense Gaussian algebra limited to d <= {MAX_DENSE_DIM}, got {d}")
-
-
 def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) -> GaussianBelief:
     """Conjugate posterior of x given y = A x + noise under a Gaussian prior.
 
@@ -79,7 +77,7 @@ def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) 
     model cannot have produced it and a degenerate-posterior error names
     the offending directions.
     """
-    _require_dense_scale(sys.d)
+    check_dense_dim(sys.d, _DENSE)
     y = np.asarray(y, dtype=np.float64)
     a = linop.materialize(sys)
     s_half = linop.materialize_noise_half(sys)
@@ -114,13 +112,13 @@ def mean_apply(sys: LinearSystem, coeffs: ScheduleCoeffs, x) -> np.ndarray:
 
 def mean_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
     """Dense H_t."""
-    _require_dense_scale(sys.d)
+    check_dense_dim(sys.d, _DENSE)
     return mean_apply(sys, coeffs, np.eye(sys.d)).T
 
 
 def covariance_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
     """Dense Sigma_t = gamma_t A+ Sigma A+^T + beta_t (I - A+ A)."""
-    _require_dense_scale(sys.d)
+    check_dense_dim(sys.d, _DENSE)
     pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(sys.m))).T  # A+ S, d x m
     proj = linop.project_range(sys, np.eye(sys.d)).T
     null_proj = np.eye(sys.d) - proj
@@ -142,65 +140,32 @@ def _marginal_pieces(prior: GaussianBelief, sys: LinearSystem, coeffs: ScheduleC
     return h, marg_mean, marg_cov
 
 
-def oracle_denoiser(prior: GaussianBelief, sys: LinearSystem, coeffs):
+def oracle_denoiser(prior: GaussianBelief, sys: LinearSystem, spec: ScheduleSpec):
     """Exact conditional-expectation denoiser E[x0 | x_t] for a Gaussian prior.
 
-    ``coeffs`` may be a ScheduleCoeffs (gain fixed at that time; the
-    returned function ignores its time argument) or a ScheduleSpec (the
-    gain is computed at each requested time and cached).  The returned
-    function is affine in x_t and vectorized over leading axes.
+    The returned ``denoise(x_t, t)`` computes the gain at time t on every
+    call and keeps nothing between calls.  It is affine in x_t and
+    vectorized over leading axes.
     """
-    _require_dense_scale(sys.d)
+    check_dense_dim(sys.d, _DENSE)
 
-    def gain_at(c: ScheduleCoeffs):
-        h, marg_mean, marg_cov = _marginal_pieces(prior, sys, c)
+    def denoise(x_t, t):
+        h, marg_mean, marg_cov = _marginal_pieces(prior, sys, evaluate(spec, float(t)))
         pinv, _, _ = _psd_pinv(marg_cov)
         gain = prior.cov @ h.T @ pinv
         offset = prior.mean - gain @ marg_mean
-        return gain, offset
+        return np.asarray(x_t, dtype=np.float64) @ gain.T + offset
 
-    if isinstance(coeffs, ScheduleCoeffs):
-        gain, offset = gain_at(coeffs)
-
-        def denoise(x_t, t=None):
-            return np.asarray(x_t, dtype=np.float64) @ gain.T + offset
-
-        return denoise
-
-    if isinstance(coeffs, ScheduleSpec):
-        spec = coeffs
-        cache: dict = {}
-
-        def denoise(x_t, t):
-            key = float(t)
-            if key not in cache:
-                cache[key] = gain_at(evaluate(spec, key))
-            gain, offset = cache[key]
-            return np.asarray(x_t, dtype=np.float64) @ gain.T + offset
-
-        return denoise
-
-    raise TypeError(f"coeffs must be ScheduleCoeffs or ScheduleSpec, got {type(coeffs)}")
+    return denoise
 
 
-def dense_score(
-    prior: GaussianBelief,
-    sys: LinearSystem,
-    coeffs: ScheduleCoeffs,
-    x_t: np.ndarray,
-    return_restricted_flag: bool = False,
-):
+def dense_score(prior: GaussianBelief, sys: LinearSystem, coeffs: ScheduleCoeffs, x_t: np.ndarray):
     """Exact score of the Gaussian marginal of the corrupted state.
 
     When the marginal covariance is singular the score is restricted to its
-    range via the pseudo-inverse; pass ``return_restricted_flag=True`` to
-    learn whether that happened.
+    range via the pseudo-inverse.
     """
-    _require_dense_scale(sys.d)
+    check_dense_dim(sys.d, _DENSE)
     _, marg_mean, marg_cov = _marginal_pieces(prior, sys, coeffs)
-    pinv, _, singular = _psd_pinv(marg_cov)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    score = -(x_t - marg_mean) @ pinv.T
-    if return_restricted_flag:
-        return score, singular
-    return score
+    pinv, _, _ = _psd_pinv(marg_cov)
+    return -(np.asarray(x_t, dtype=np.float64) - marg_mean) @ pinv.T

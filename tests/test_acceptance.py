@@ -96,8 +96,8 @@ def test_criterion_06_score_decomposition():
         spec = schedule.ScheduleSpec(("sb", "vp", "ve")[trial % 3])
         coeffs = schedule.evaluate(spec, float(rng.uniform(spec.t_min + 0.02, spec.t_max - 0.02)))
         x = rng.standard_normal(d)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
-        drift = sampler.score_drift(sys, coeffs, x, den(x))
+        den = oracle.oracle_denoiser(prior, sys, spec)
+        drift = sampler.score_drift(sys, coeffs, x, den(x, coeffs.t))
         score = oracle.dense_score(prior, sys, coeffs, x)
         pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(m))).T
         nullp = np.eye(d) - linop.project_range(sys, np.eye(d)).T

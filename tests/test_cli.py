@@ -524,6 +524,15 @@ def _legacy_checkpoint(blob, time_embed="sinusoidal", time_freqs=8, input_width=
     return head + sep + _tensor_bytes(first) + records.read()
 
 
+def _nan_first_weight(blob):
+    """``blob`` with a NaN as the first entry of the first weight matrix."""
+    head, sep, tail = blob.partition(b"---\n")
+    records = io.BytesIO(tail)
+    first = tensorio.read_tensor(records)
+    first[0, 0] = np.nan
+    return head + sep + _tensor_bytes(first) + records.read()
+
+
 # each turns a valid checkpoint's bytes into a broken one (None: no file)
 BROKEN_CHECKPOINTS = {
     "missing_file": None,
@@ -534,6 +543,7 @@ BROKEN_CHECKPOINTS = {
     # nets of the other time embeddings: 16 + 1 and 16 + 2 * 4 inputs
     "append_scalar_embedding": lambda blob: _legacy_checkpoint(blob, "append_scalar", 8, 17),
     "four_time_frequencies": lambda blob: _legacy_checkpoint(blob, "sinusoidal", 4, 24),
+    "non_finite_parameter": _nan_first_weight,
 }
 
 
@@ -610,6 +620,8 @@ BROKEN_MEASUREMENTS = {
     "truncated_record": _tensor_bytes(np.full((2, 16), 0.6))[:-8],
     # a 28-byte record whose header claims 2^31 x 2^31 elements
     "oversized_header": tensorio.MAGIC + struct.pack("<3I", 2, 2 ** 31, 2 ** 31) + bytes(12),
+    "nan_entry": _tensor_bytes(np.r_[np.full(31, 0.6), np.nan].reshape(2, 16)),
+    "inf_entry": _tensor_bytes(np.r_[np.full(31, 0.6), np.inf].reshape(2, 16)),
 }
 
 
@@ -686,6 +698,20 @@ class TestThreads:
             blobs.append([(dest / name).read_bytes() for name in ("loss.csv", "checkpoint.ckpt")])
         assert blobs[0] == blobs[1]
 
+    def test_oracle_sample_bytes_independent_of_thread_count(self, tmp_path):
+        # a 256-dim field prior: the oracle's eigh and dense products are
+        # large enough for OpenBLAS to split them across threads
+        text = _override(_override(THREADS_INI, "task", image_side=16, seed=4), "sample", n_samples=64)
+        cfg, _ = write_config(tmp_path, text)
+        blobs = []
+        for threads in ("1", "2"):
+            dest = tmp_path / f"threads-{threads}"
+            assert cli.main(["sample", "--config", str(cfg), "--oracle-denoiser", "--simulate",
+                             "--output", str(dest), "--threads", threads]) == 0
+            blobs.append([(dest / name).read_bytes()
+                          for name in ("samples.sdbt", "posterior_moments.csv")])
+        assert blobs[0] == blobs[1]
+
     def test_thread_count_restored_after_command(self):
         before = cli.set_blas_threads(1)
         if before is None:
@@ -758,6 +784,15 @@ def test_contrast_task_end_to_end(tmp_path):
     samples = tensorio.load_tensor(dest / "samples.sdbt")
     assert samples.shape == (2, 8)
     assert np.all(np.isfinite(samples))
+
+
+def test_contrast_task_above_dense_limit_exit_2_with_one_line(tmp_path, capsys):
+    text = "[task]\ntask = contrast\nsignal_dim = 300\ndataset = gaussian\n"
+    cfg, _ = write_config(tmp_path, text)
+    capsys.readouterr()
+    assert cli.main(["train", "--config", str(cfg), "--output", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
 def test_sample_steps_default_is_100():

@@ -1,5 +1,7 @@
 """Analytic Gaussian machinery: posteriors, exact denoisers, scores."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -90,36 +92,35 @@ class TestOracleDenoiser:
     def test_point_mass_prior_returns_its_mean(self):
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]), sigma_half=0.3)
         prior = oracle.GaussianBelief(np.array([0.7, -1.1]), 1e-12 * np.eye(2))
-        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
-        out = den(np.array([5.0, 5.0]))
+        den = oracle.oracle_denoiser(prior, sys, schedule.ScheduleSpec("vp"))
+        out = den(np.array([5.0, 5.0]), 0.5)
         np.testing.assert_allclose(out, prior.mean, atol=1e-4)
 
     def test_near_clean_limit(self):
         sys = linop.identity_system(3)
         prior = toy_prior(3, seed=4)
         spec = schedule.ScheduleSpec("sb", eps2=1e-6)
-        coeffs = schedule.evaluate(spec, spec.t_min)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
+        den = oracle.oracle_denoiser(prior, sys, spec)
         x_t = np.array([0.3, -0.2, 1.0])
-        np.testing.assert_allclose(den(x_t), x_t, atol=1e-3)
+        np.testing.assert_allclose(den(x_t, spec.t_min), x_t, atol=1e-3)
 
     def test_mask_null_coordinate_hand_formula(self):
         # null coordinate shrinkage alpha/(alpha^2 + beta) under a unit prior
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]))
         prior = oracle.GaussianBelief(np.zeros(2), np.eye(2))
-        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
+        spec = schedule.ScheduleSpec("vp")
+        coeffs = schedule.evaluate(spec, 0.5)
+        den = oracle.oracle_denoiser(prior, sys, spec)
         x_t = np.array([0.0, 1.0])
         expected = coeffs.alpha / (coeffs.alpha ** 2 + coeffs.beta)
-        np.testing.assert_allclose(den(x_t)[1], expected, rtol=1e-12)
+        np.testing.assert_allclose(den(x_t, 0.5)[1], expected, rtol=1e-12)
 
     def test_regression_against_monte_carlo(self):
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]))
         prior = oracle.GaussianBelief(np.zeros(2), np.eye(2))
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, 0.5)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
+        den = oracle.oracle_denoiser(prior, sys, spec)
         rng = np.random.default_rng(5)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=100_000)
         xt = forward.forward_sample(sys, coeffs, x0, rng)
@@ -129,13 +130,12 @@ class TestOracleDenoiser:
             sel = (z > lo) & (z < hi)
             emp = x0[sel, 1].mean()
             mid = np.array([0.0, 0.5 * (lo + hi)])
-            assert den(mid)[1] == pytest.approx(emp, abs=0.02)
+            assert den(mid, 0.5)[1] == pytest.approx(emp, abs=0.02)
 
     def test_affine_with_constant_jacobian(self):
         sys = linop.build_dense_system(np.random.default_rng(6).standard_normal((2, 4)), sigma_half=0.4)
         prior = toy_prior(4, seed=7)
-        coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.6)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
+        den = oracle.oracle_denoiser(prior, sys, schedule.ScheduleSpec("sb"))
         rng = np.random.default_rng(8)
         h = 1e-5
         jacs = []
@@ -143,7 +143,7 @@ class TestOracleDenoiser:
             x = rng.standard_normal(4)
             cols = []
             for e in np.eye(4):
-                cols.append((den(x + h * e) - den(x - h * e)) / (2 * h))
+                cols.append((den(x + h * e, 0.6) - den(x - h * e, 0.6)) / (2 * h))
             jacs.append(np.stack(cols, axis=1))
         assert np.max(np.abs(jacs[0] - jacs[1])) < 1e-8
         assert np.max(np.abs(jacs[0] - jacs[2])) < 1e-8
@@ -151,14 +151,33 @@ class TestOracleDenoiser:
     def test_tower_property(self):
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]), sigma_half=0.2)
         prior = toy_prior(2, seed=9)
-        coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.4)
-        den = oracle.oracle_denoiser(prior, sys, coeffs)
+        spec = schedule.ScheduleSpec("vp")
+        coeffs = schedule.evaluate(spec, 0.4)
+        den = oracle.oracle_denoiser(prior, sys, spec)
         rng = np.random.default_rng(10)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=200_000)
         xt = forward.forward_sample(sys, coeffs, x0, rng)
-        avg = den(xt).mean(axis=0)
+        avg = den(xt, 0.4).mean(axis=0)
         se = np.sqrt(np.diag(prior.cov) / len(x0))
         assert np.all(np.abs(avg - prior.mean) < 4 * se + 1e-3)
+
+    def test_keeps_nothing_between_calls(self):
+        rng = np.random.default_rng(12)
+        sys = linop.build_dense_system(rng.standard_normal((32, 64)), sigma_half=0.3)
+        spec = schedule.ScheduleSpec("vp")
+        den = oracle.oracle_denoiser(toy_prior(64, seed=13), sys, spec)
+        x = rng.standard_normal(64)
+        den(x, spec.t_max)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for t in np.linspace(spec.t_min, spec.t_max, 201)[:-1]:
+                den(x, t)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # one 64 x 64 gain per time would hold 6.5 MB
+        assert held < 1_000_000, held
 
 
 class TestDenseScore:
@@ -198,11 +217,12 @@ class TestDenseScore:
         peak = np.sqrt(2 * np.pi * var)
         assert integral == pytest.approx(peak, rel=1e-6)
 
-    def test_singular_marginal_sets_flag(self):
-        sys = linop.build_dense_system(np.array([[1.0, 0.0]]))  # noiseless range
+    def test_singular_marginal_restricts_score_to_its_range(self):
+        # noiseless range and no prior mass along e0: the marginal is
+        # singular there, and the pseudo-inverse gives no score along it
+        sys = linop.build_dense_system(np.array([[1.0, 0.0]]))
         prior = oracle.GaussianBelief(np.zeros(2), np.diag([0.0, 1.0]))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        _, restricted = oracle.dense_score(
-            prior, sys, coeffs, np.zeros(2), return_restricted_flag=True
-        )
-        assert restricted
+        score = oracle.dense_score(prior, sys, coeffs, np.array([0.7, -0.4]))
+        assert np.all(np.isfinite(score))
+        assert score[0] == 0.0 and score[1] != 0.0

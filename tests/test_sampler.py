@@ -320,8 +320,8 @@ class TestScoreDecomposition:
             t = float(rng.uniform(spec.t_min + 0.05, spec.t_max - 0.05))
             coeffs = schedule.evaluate(spec, t)
             x = rng.standard_normal(d)
-            den = oracle.oracle_denoiser(prior, sys, coeffs)
-            drift = sampler.score_drift(sys, coeffs, x, den(x))
+            den = oracle.oracle_denoiser(prior, sys, spec)
+            drift = sampler.score_drift(sys, coeffs, x, den(x, t))
 
             score = oracle.dense_score(prior, sys, coeffs, x)
             pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(m))).T
