@@ -22,6 +22,9 @@ pairs the change was lower, and a verdict per end-to-end metric of
 - ``worse``: otherwise, if the change's median is worse than the parent's
   by more than ``bound`` times the parent's median;
 - ``within bound``: every other case.
+
+Each side also records the size of its package source, the per-file and
+total line counts of ``wc -l src/sysbridge/*.py``.
 """
 
 from __future__ import annotations
@@ -57,6 +60,15 @@ def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"perfbench failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
     return {"perfbench": json.loads(lines[-2])["perfbench"], "result": json.loads(lines[-1])}
+
+
+def src_lines(checkout: Path) -> dict:
+    """``wc -l src/sysbridge/*.py`` of a checkout: newlines per file and their total."""
+    files = {
+        path.name: path.read_bytes().count(b"\n")
+        for path in sorted((checkout / "src" / "sysbridge").glob("*.py"))
+    }
+    return {"files": files, "total": sum(files.values())}
 
 
 def summary(values):
@@ -120,6 +132,34 @@ def compare(parent_runs, change_runs):
     return parent, change, out
 
 
+def record_pairs(workload: str, seed: int, parent_rev: str, tree: Path) -> dict:
+    """The record of PAIRS alternating runs: the parent checked out at ``tree``
+    against this checkout."""
+    lines = {"parent": src_lines(tree), "change": src_lines(ROOT)}
+    runs = {"parent": [], "change": []}
+    for i in range(PAIRS):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run = run_perfbench(tree if side == "parent" else ROOT, workload, seed + i)
+            runs[side].append({"pair": i, "seed": seed + i, "order": order.index(side), **run})
+            value = run["result"]["metrics"]["time_vs_control"]["value"]
+            print(f"pair {i} seed {seed + i} {side}: time_vs_control {value:.4f}", file=sys.stderr)
+
+    parent, change, pairs = compare(runs["parent"], runs["change"])
+    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    return {
+        "workload": workload,
+        "seconds": SECONDS,
+        "pairs": PAIRS,
+        "seeds": [seed + i for i in range(PAIRS)],
+        "parent": {"rev": parent_rev, "src_lines": lines["parent"], "summary": parent,
+                   "runs": runs["parent"]},
+        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": dirty,
+                   "src_lines": lines["change"], "summary": change, "runs": runs["change"]},
+        "comparison": pairs,
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -133,38 +173,20 @@ def main(argv=None) -> int:
     scratch.mkdir(exist_ok=True)
     tree = Path(tempfile.mkdtemp(prefix="parent-", dir=scratch))
     git("worktree", "add", "--detach", str(tree), parent_rev)
-    runs = {"parent": [], "change": []}
     try:
-        for i in range(PAIRS):
-            seed = args.seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for side in order:
-                checkout = tree if side == "parent" else ROOT
-                run = run_perfbench(checkout, args.workload, seed)
-                runs[side].append({"pair": i, "seed": seed, "order": order.index(side), **run})
-                value = run["result"]["metrics"]["time_vs_control"]["value"]
-                print(f"pair {i} seed {seed} {side}: time_vs_control {value:.4f}", file=sys.stderr)
+        record = record_pairs(args.workload, args.seed, parent_rev, tree)
     finally:
         git("worktree", "remove", "--force", str(tree))
         shutil.rmtree(tree, ignore_errors=True)
 
-    parent, change, pairs = compare(runs["parent"], runs["change"])
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
-    record = {
-        "workload": args.workload,
-        "seconds": SECONDS,
-        "pairs": PAIRS,
-        "seeds": [args.seed + i for i in range(PAIRS)],
-        "parent": {"rev": parent_rev, "summary": parent, "runs": runs["parent"]},
-        "change": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": dirty,
-                   "summary": change, "runs": runs["change"]},
-        "comparison": pairs,
-    }
     out = Path(args.output) if args.output else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for name, cmp in pairs.items():
-        print(f"{name}: parent {parent[name]['median']:.4g} change {change[name]['median']:.4g} "
+    for name, cmp in record["comparison"].items():
+        parent, change = record["parent"]["summary"][name], record["change"]["summary"][name]
+        print(f"{name}: parent {parent['median']:.4g} change {change['median']:.4g} "
               f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}: {cmp['verdict']}")
+    lines = [record[side]["src_lines"]["total"] for side in ("parent", "change")]
+    print(f"src/sysbridge lines: parent {lines[0]} change {lines[1]}")
     print(f"written to {out}")
     return 0
 

@@ -3,10 +3,10 @@
 Subcommands: train, sample, verify, misspec.  The system, data and prior
 of a run come from its `tasks.TaskSpec`; this module only orchestrates.
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or config
-error, which includes a task too large for dense algebra.  All outputs are
-byte-reproducible given the same config and seeds, at any `--threads`:
-`--oracle-denoiser` runs on one BLAS thread.  Timestamps appear only in the
-sidecar run.log.
+error, which includes a task too large for dense algebra and an array too
+large to allocate.  All outputs are byte-reproducible given the same config
+and seeds, at any `--threads`: `--oracle-denoiser` runs on one BLAS thread.
+Timestamps appear only in the sidecar run.log.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from . import denoiser as dn
 from . import oracle, sampler, tasks, tensorio, verification
 from .config import ExperimentConfig, parse_config, parse_value, serialize_config, with_seed
 from .errors import CapacityError, ConfigError, NumericalError
-from .schedule import ScheduleSpec
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -128,7 +127,9 @@ def cmd_train(args) -> int:
     net, losses = dn.train(net, sys_, cfg.schedule, data, tr)
 
     ckpt = out / "checkpoint.ckpt"
-    dn.save_checkpoint(ckpt, net, cfg.schedule, extra={"task": cfg.task.task, "run_id": cfg.run.run_id})
+    dn.save_checkpoint(ckpt, net, cfg.schedule, extra={
+        "system_hash": tasks.system_hash(cfg.task), "task": cfg.task.task, "run_id": cfg.run.run_id,
+    })
     _write_csv(
         out / "loss.csv",
         ["epoch", "mean_loss"],
@@ -153,22 +154,26 @@ def _load_measurements(path, m):
     return y
 
 
-def _checkpoint_denoiser(path, spec: ScheduleSpec, d: int):
+def _checkpoint_denoiser(path, cfg: ExperimentConfig, d: int):
     """The checkpoint's network as a denoiser; ConfigError unless it loads,
-    has finite parameters, embeds ``spec`` and acts on signals of width ``d``."""
+    has finite parameters, embeds the config's schedule and system, and acts
+    on signals of width ``d``."""
     try:
         net, _, header = dn.load_checkpoint(path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     if not np.all(np.isfinite(net.flat)):
         raise ConfigError(f"checkpoint {path} has non-finite parameters")
-    if header.get("schedule_hash") != dn.schedule_hash(spec):
-        raise ConfigError(
-            "checkpoint schedule does not match config schedule "
-            f"({header.get('schedule_hash', 'missing')[:12]} vs "
-            f"{dn.schedule_hash(spec)[:12]}); refusing to sample with a "
-            "misspecified embedded schedule"
-        )
+    for what, key, expected in (
+        ("schedule", "schedule_hash", dn.schedule_hash(cfg.schedule)),
+        ("system", "system_hash", tasks.system_hash(cfg.task)),
+    ):
+        if header.get(key) != expected:
+            raise ConfigError(
+                f"checkpoint {what} does not match config {what} "
+                f"({header.get(key, 'missing')[:12]} vs {expected[:12]}); refusing to "
+                f"sample with a misspecified embedded {what}"
+            )
     if net.signal_dim != d:
         raise ConfigError(
             f"checkpoint network acts on signals of width {net.signal_dim}, "
@@ -196,7 +201,7 @@ def cmd_sample(args) -> int:
     else:
         if not args.checkpoint:
             raise ConfigError("sample requires --checkpoint (or --oracle-denoiser)")
-        denoise = _checkpoint_denoiser(args.checkpoint, spec, sys_.d)
+        denoise = _checkpoint_denoiser(args.checkpoint, cfg, sys_.d)
 
     rng = np.random.default_rng(cfg.sample.seed)
     x_truth = None
@@ -287,6 +292,9 @@ def cmd_misspec(args) -> int:
     param = args.param if args.param else cfg.eval.param
     if args.values:
         values = parse_value("--values", args.values, Tuple[float, ...])
+    elif param != cfg.eval.param:
+        swept = cfg.eval.param or "no parameter"
+        raise ConfigError(f"--param {param} needs --values: [eval] values sweep {swept}")
     else:
         values = cfg.eval.values
 
@@ -304,7 +312,7 @@ def cmd_misspec(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc
     train_sys = tasks.build_system(cfg.task)
-    denoise = _checkpoint_denoiser(args.checkpoint, cfg.schedule, train_sys.d)
+    denoise = _checkpoint_denoiser(args.checkpoint, cfg, train_sys.d)
     rows, summary = [], []
     for value, (deployed, generate) in zip(values, deployments):
         rng = np.random.default_rng(cfg.eval.seed)
@@ -407,7 +415,7 @@ def main(argv=None) -> int:
         finally:
             if previous is not None:
                 set_blas_threads(previous)
-    except (ConfigError, CapacityError) as exc:
+    except (ConfigError, CapacityError, MemoryError) as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
     except NumericalError as exc:

@@ -309,48 +309,45 @@ def loss_and_grad(
 
 @dataclass
 class AdamState:
+    """First and second moments and a scratch vector, shaped like the parameters."""
+
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray
     step: int = 0
-    m: List[np.ndarray] = field(default_factory=list)
-    v: List[np.ndarray] = field(default_factory=list)
-    scratch: List[np.ndarray] = field(default_factory=list)
 
 
-def adam_init(params: List[np.ndarray]) -> AdamState:
-    """Zero moments and scratch, each array on a 64-byte boundary."""
-    return AdamState(
-        step=0,
-        m=[_aligned_zeros(np.shape(p)) for p in params],
-        v=[_aligned_zeros(np.shape(p)) for p in params],
-        scratch=[_aligned_zeros(np.shape(p)) for p in params],
-    )
+def adam_init(p: np.ndarray) -> AdamState:
+    """Zero moments and scratch, each on a 64-byte boundary."""
+    return AdamState(*(_aligned_zeros(np.shape(p)) for _ in range(3)))
 
 
-def adam_step(params, grads, state: AdamState, lr, beta1, beta2, eps=1e-8):
-    """One Adam update of each array in params, in place.
+def adam_step(p, g, state: AdamState, lr, beta1, beta2, eps=1e-8):
+    """One Adam update of the array p, in place.
 
     The ops are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
     and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, in that order, written
-    into m, v, the state's scratch and g: on return ``grads`` holds the step
-    that was subtracted from params.
+    into m, v, the state's scratch and g: on return g holds the step that
+    was subtracted from p.
     """
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
     c2 = 1.0 - beta2 ** state.step
-    for p, g, m, v, s in zip(params, grads, state.m, state.v, state.scratch):
-        np.multiply(g, 1.0 - beta1, out=s)
-        m *= beta1
-        m += s
-        np.multiply(g, 1.0 - beta2, out=s)
-        s *= g
-        v *= beta2
-        v += s
-        np.divide(m, c1, out=g)
-        g *= lr
-        np.divide(v, c2, out=s)
-        np.sqrt(s, out=s)
-        s += eps
-        g /= s
-        p -= g
+    m, v, s = state.m, state.v, state.scratch
+    np.multiply(g, 1.0 - beta1, out=s)
+    m *= beta1
+    m += s
+    np.multiply(g, 1.0 - beta2, out=s)
+    s *= g
+    v *= beta2
+    v += s
+    np.divide(m, c1, out=g)
+    g *= lr
+    np.divide(v, c2, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    g /= s
+    p -= g
 
 
 def train(
@@ -365,11 +362,10 @@ def train(
     if data.shape[0] == 0:
         raise ValueError("dataset must be non-empty")
     rng = np.random.default_rng(tcfg.seed)
-    # Adam sees the whole parameter and gradient vectors as one array each
-    params = [net.flat]
+    # Adam steps the whole parameter vector by the whole gradient vector
     grad = _aligned_zeros(net.flat.shape)
     grads = param_views(grad, net.layer_dims)
-    adam = adam_init(params)
+    adam = adam_init(net.flat)
     lr = tcfg.lr
     losses = []
     for epoch in range(tcfg.n_epochs):
@@ -388,7 +384,7 @@ def train(
                 raise NumericalError(
                     f"training diverged at epoch {epoch}, batch {n_batches}: {exc}"
                 ) from exc
-            adam_step(params, [grad], adam, lr, tcfg.adam_beta1, tcfg.adam_beta2)
+            adam_step(net.flat, grad, adam, lr, tcfg.adam_beta1, tcfg.adam_beta2)
             epoch_loss += loss
             n_batches += 1
         losses.append(epoch_loss / max(n_batches, 1))

@@ -38,23 +38,22 @@ at no extra operator call.
 When the system is noiseless the range component carries the signal exactly:
 range noise and range drift are skipped, and the range part x + u is
 replaced by the chain's initial range component A+ y, which pins the range
-inside the same split.  `reverse_step` maps arrays to arrays; `sample` checks
-after every step that the chain stayed finite.
+inside the same split.  `sample` checks after every step that the chain
+stayed finite.
 
-Every scalar a step needs is a function of its grid point alone, so a pass
-walks a step plan: one (t, dt, coeffs) per step, with t, dt and the
-coefficients as Python floats.  Plans are built on first use per
-(spec, n_steps, time grid) and kept in a 16-entry LRU cache (a 1000-step
-plan is about half a megabyte), so repeated passes on the same grid evaluate
-the schedule only for the chain start.  Outputs are the same bytes as
-evaluating the grid and the coefficients step by step.
+Every scalar of a step depends on its grid point alone, so a pass walks a
+step plan: one `Step` of Python floats per step, derived by `plan_step`.
+Plans are kept per (spec, n_steps, time grid) in a 16-entry LRU cache (a
+1000-step plan holds about 0.28 MB), so repeated passes on one grid
+evaluate the schedule only for the chain start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -143,27 +142,46 @@ def _stiffness_grid(spec: ScheduleSpec, n_steps: int):
 
 
 def time_grid(spec: ScheduleSpec, n_steps: int, mode: str = "uniform"):
-    """Reverse-time grid from 1 - eps1 down to eps2, inclusive ends."""
+    """Reverse-time grid of Python floats from 1 - eps1 down to eps2, inclusive ends."""
     if mode == "uniform":
-        return tuple(np.linspace(spec.t_max, spec.t_min, n_steps + 1))
+        return tuple(np.linspace(spec.t_max, spec.t_min, n_steps + 1).tolist())
     return _stiffness_grid(spec, n_steps)
+
+
+class Step(NamedTuple):
+    """One reverse step from t down to t - dt: the scalars of its update."""
+
+    t: float
+    dt: float
+    null_scale: float  # sqrt(dt gnull_sq)
+    denoised_gain: float  # dt stiff alpha,  stiff = f_null - 2 L
+    state_gain: float  # 1 - dt (stiff + L)
+    range_gain: float  # dt f_range
+    range_scale: Optional[float]  # sqrt(dt dgamma/dt); None when dgamma/dt <= 0
+
+
+def plan_step(c: ScheduleCoeffs, dt: float) -> Step:
+    """The `Step` from c.t down to c.t - dt."""
+    if dt < 0:
+        raise ValueError("dt must be >= 0")
+    lam = c.dlog_alpha_dt
+    stiff = c.f_null - 2.0 * lam
+    return Step(
+        t=c.t,
+        dt=dt,
+        null_scale=math.sqrt(dt * max(c.gnull_sq, 0.0)),
+        denoised_gain=dt * stiff * c.alpha,
+        state_gain=1.0 - dt * (stiff + lam),
+        range_gain=dt * c.f_range,
+        range_scale=math.sqrt(dt * c.dgamma_dt) if c.dgamma_dt > 0 else None,
+    )
 
 
 @lru_cache(maxsize=16)
 def _step_plan(spec: ScheduleSpec, n_steps: int, mode: str):
-    """(t, dt, coeffs) of every reverse step, highest time first.
-
-    ``t`` and ``dt`` are Python floats equal to the grid point and the gap
-    to the next one; ``coeffs`` is `evaluate` at that grid point, its
-    fields converted to Python floats as well.
-    """
+    """Every reverse `Step` of the grid, highest time first."""
     grid = time_grid(spec, n_steps, mode)
-    plan = []
-    for t, t_next in zip(grid, grid[1:]):
-        c = evaluate(spec, t)
-        coeffs = ScheduleCoeffs(**{k: float(v) for k, v in vars(c).items()})
-        plan.append((float(t), float(t - t_next), coeffs))
-    return tuple(plan)
+    return tuple(plan_step(evaluate(spec, t), t - t_next) for t, t_next in zip(grid, grid[1:]))
 
 
 def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> np.ndarray:
@@ -202,44 +220,29 @@ def score_drift(
 
 def reverse_step(
     sys: LinearSystem,
-    coeffs: ScheduleCoeffs,
+    step: Step,
     x: np.ndarray,
     denoised: np.ndarray,
-    dt: float,
     rng,
     locked_range: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama update of x from coeffs.t down to coeffs.t - dt.
+    """One Euler-Maruyama update of x by ``step``: one `apply` and one
+    `apply_pinv` (module docstring).
 
-    The update is one range/null split, so it costs one `apply` and one
-    `apply_pinv` (see the module docstring).  A noiseless system needs
-    ``locked_range``, the chain's range part A+ y, which becomes the new
-    range part; a noisy one takes None.
-
-    Noise order per step is fixed: the measurement-space draw first (only
-    taken when the system is noisy and not a partial isometry with scalar
-    noise), then the signal-space draw.  A partial isometry with scalar
-    noise takes its range noise from the signal-space draw (module
-    docstring); `linop.update_noise` makes the draws.
+    A noiseless system needs ``locked_range``, the chain's range part A+ y,
+    which becomes the new range part; a noisy one takes None.
+    `linop.update_noise` makes the draws, in its fixed order.
     """
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    noisy = not sys.noise_is_zero
-    if not noisy and locked_range is None:
+    if sys.noise_is_zero and locked_range is None:
         raise ValueError("a noiseless system's step needs locked_range, A+ y")
     x = np.asarray(x, dtype=np.float64)
     denoised = np.asarray(denoised, dtype=np.float64)
-    lam = coeffs.dlog_alpha_dt
-    stiff = coeffs.f_null - 2.0 * lam
-
-    range_scale = np.sqrt(dt * coeffs.dgamma_dt) if noisy and coeffs.dgamma_dt > 0 else None
-    # x + w, accumulated in the draw's buffer:
-    # (dt stiff alpha) d + (1 - dt (stiff + L)) x + sqrt(dt gnull_sq) eps_null
-    v, range_draw, range_noise = linop.update_noise(sys, rng, x.shape, range_scale)
-    v *= np.sqrt(dt * max(coeffs.gnull_sq, 0.0))
-    tmp = np.multiply(denoised, dt * stiff * coeffs.alpha)
+    # x + w, accumulated in the draw's buffer
+    v, range_draw, range_noise = linop.update_noise(sys, rng, x.shape, step.range_scale)
+    v *= step.null_scale
+    tmp = np.multiply(denoised, step.denoised_gain)
     v += tmp
-    np.multiply(x, 1.0 - dt * (stiff + lam), out=tmp)
+    np.multiply(x, step.state_gain, out=tmp)
     v += tmp
 
     if locked_range is not None:
@@ -247,7 +250,7 @@ def reverse_step(
     else:
         # x + u = x + dt f_range (d - x)
         r = np.subtract(denoised, x, out=tmp)
-        r *= dt * coeffs.f_range
+        r *= step.range_gain
         r += x
     if range_draw is not None:
         # the range part of the signal-space draw is the range noise
@@ -284,17 +287,17 @@ def sample(
 
     states = [] if config.keep_every else None
     t_kept = spec.t_max
-    for k, (t, dt, coeffs) in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
-        denoised = denoiser(x, t)
-        x = reverse_step(sys, coeffs, x, denoised, dt, rng, locked_range)
+    for k, step in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
+        denoised = denoiser(x, step.t)
+        x = reverse_step(sys, step, x, denoised, rng, locked_range)
         if not np.isfinite(x).all():
             raise DivergenceError(
-                f"chain diverged at step {k} (t={t:.6f}, "
+                f"chain diverged at step {k} (t={step.t:.6f}, "
                 f"max|denoised|={float(np.max(np.abs(denoised))):.3e})",
                 step=k,
-                t=t,
+                t=step.t,
             )
-        t_kept -= dt
+        t_kept -= step.dt
         if states is not None and (k + 1) % config.keep_every == 0:
             states.append(ProcessState(x=x.copy(), t=t_kept))
 

@@ -39,6 +39,7 @@ which are in the units of A x like every other generator's measurements.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -161,6 +162,29 @@ def build_system(spec: TaskSpec) -> LinearSystem:
     y_cal = nsys.apply(make_dataset(spec, 1, spec.data_seed)[0])
     x_hat = nonlinear.mle_init(nsys, y_cal)
     return nonlinear.linearize(nsys, x_hat, sigma_half=float(np.sqrt(spec.noise_var)))
+
+
+# the TaskSpec fields (and the signal width d) each task's system is built
+# from; contrast is linearized at a dataset draw, so its dataset counts too
+_SYSTEM_FIELDS = {
+    "inpainting": ("d", "mask_fraction", "seed"),
+    "superres": ("image_side", "factor"),
+    "ct": ("d", "tau", "sigma1_sq", "latent_dim", "seed"),
+    "mri": ("image_side", "lambda1_pct", "lambda2_pct", "sigma2_sq", "seed"),
+    "dense": ("d", "dense_m", "noise_var", "seed"),
+    "contrast": (
+        "d", "contrast_k", "contrast_a", "noise_var", "dataset", "data_seed", "image_side",
+        "gauss_mean", "gauss_var", "field_scale", "field_amp", "field_mean",
+        "mix_sep", "mix_std", "mix_coord", "point_value",
+    ),
+}
+
+
+def system_hash(spec: TaskSpec) -> str:
+    """SHA-256 over the task and the fields `build_system` reads, by repr."""
+    names = ("task", *_SYSTEM_FIELDS[spec.task])
+    canon = ";".join(f"{name}={getattr(spec, name)!r}" for name in names)
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _inpainting_system(spec: TaskSpec) -> LinearSystem:

@@ -75,8 +75,11 @@ def read_tensor(fh, shape=None) -> np.ndarray:
         raise DimensionError(
             f"truncated tensor record: shape {found} needs {size} payload bytes, {left} left"
         )
-    payload = _read_exact(fh, size)
-    return np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(found)
+    flat = np.frombuffer(_read_exact(fh, size), dtype="<f8").astype(np.float64)
+    try:
+        return flat.reshape(found)
+    except ValueError as exc:  # a zero-size shape whose other dimensions overflow numpy's size
+        raise DimensionError(f"tensor shape {found}: {exc}") from exc
 
 
 def save_tensor(path, array) -> None:

@@ -1,6 +1,7 @@
 """The pair recorder's summary of parent and change runs."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -69,3 +70,44 @@ def test_metric_without_a_bound_has_no_verdict():
 
     _, _, cmp = bench_pairs.compare(runs(10.0), runs(20.0))
     assert cmp["steps"]["verdict"] is None
+
+
+def test_source_lines_count_newlines_per_package_file(tmp_path):
+    package = tmp_path / "src" / "sysbridge"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # wc -l counts no line without a newline
+    (package / "notes.txt").write_text("not\ncounted\n")
+    assert bench_pairs.src_lines(tmp_path) == {"files": {"a.py": 2, "b.py": 0}, "total": 2}
+
+
+def test_source_lines_of_this_checkout_match_wc():
+    root = SCRIPT.parents[1]
+    files = sorted(str(path) for path in (root / "src" / "sysbridge").glob("*.py"))
+    out = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True).stdout
+    assert bench_pairs.src_lines(root)["total"] == int(out.splitlines()[-1].split()[0])
+
+
+def test_record_keeps_both_sides_source_lines(tmp_path, monkeypatch):
+    sides = {}
+    for side, text in (("parent", "a = 1\nb = 2\nc = 3\n"), ("change", "a = 1\n")):
+        package = tmp_path / side / "src" / "sysbridge"
+        package.mkdir(parents=True)
+        (package / "m.py").write_text(text)
+        sides[tmp_path / side] = side
+    benchmark = SCRIPT.parents[1] / "BENCHMARK.json"
+    (tmp_path / "change" / "BENCHMARK.json").write_text(benchmark.read_text())
+    calls = []
+
+    def fake_run(checkout, workload, seed):
+        calls.append((sides[checkout], seed))
+        return run(0.5 if sides[checkout] == "parent" else 0.4, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "")
+    record = bench_pairs.record_pairs("sample-mri", 40, "p0", tmp_path / "parent")
+    assert record["parent"]["src_lines"] == {"files": {"m.py": 3}, "total": 3}
+    assert record["change"]["src_lines"] == {"files": {"m.py": 1}, "total": 1}
+    assert calls[:4] == [("parent", 40), ("change", 40), ("change", 41), ("parent", 41)]
+    assert record["comparison"]["time_vs_control"]["change_lower_pairs"] == bench_pairs.PAIRS

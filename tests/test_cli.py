@@ -1,6 +1,7 @@
 """Command-line orchestration: exit codes, artifacts, reproducibility."""
 
 import configparser
+import dataclasses
 import io
 import re
 import struct
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sysbridge import cli, tasks, tensorio
+from sysbridge import cli, sampler, tasks, tensorio
 from sysbridge import denoiser as dn
 from sysbridge.config import EvalSection, parse_config, parse_config_text, serialize_config
 from sysbridge.errors import ConfigError
@@ -74,6 +77,12 @@ def write_config(tmp_path, text, name="cfg.ini"):
     path = tmp_path / name
     path.write_text(text.format(out=out_dir), encoding="utf-8")
     return path, out_dir
+
+
+def save_for(path, net, cfg):
+    """``net`` as a checkpoint embedding the schedule and system of config ``cfg``."""
+    parsed = parse_config(cfg)
+    dn.save_checkpoint(path, net, parsed.schedule, extra={"system_hash": tasks.system_hash(parsed.task)})
 
 
 class TestConfigErrors:
@@ -221,7 +230,7 @@ def test_negative_seed_flag_exit_2_with_one_line(tmp_path, capsys, command):
     cfg, _ = write_config(tmp_path, MEMORIZE_INI)
     ckpt = tmp_path / "net.ckpt"
     net = dn.init_net(16, hidden=(8,), seed=0)
-    dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+    save_for(ckpt, net, cfg)
     extra = {
         "train": [],
         "sample": ["--checkpoint", str(ckpt), "--simulate"],
@@ -382,6 +391,32 @@ class TestSample:
         ])
         assert code == 2
 
+    def test_checkpoint_names_its_system(self, trained):
+        cfg, out = trained
+        _, _, header = dn.load_checkpoint(out / "checkpoint.ckpt")
+        assert header["system_hash"] == tasks.system_hash(parse_config(cfg).task)
+
+    @pytest.mark.parametrize("command", ["sample", "misspec"])
+    def test_system_mismatch_exit_2_with_one_line(self, trained, tmp_path, capsys, command):
+        # the same schedule and signal width, another mask
+        cfg, out = trained
+        other, _ = write_config(tmp_path, _override(MEMORIZE_INI, "task", mask_fraction=0.5), "other.ini")
+        extra = ["--simulate"] if command == "sample" else []
+        capsys.readouterr()
+        code = cli.main([command, "--config", str(other), "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--output", str(tmp_path / "run"), *extra])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("config error: checkpoint system does not match") and err.count("\n") == 1, err
+
+    def test_untrainable_width_exit_2_with_one_line(self, tmp_path, capsys):
+        # a 1e12-wide hidden layer: numpy refuses the allocation at once
+        cfg, _ = write_config(tmp_path, _override(MEMORIZE_INI, "train", hidden=10 ** 12))
+        capsys.readouterr()
+        assert cli.main(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+
     def test_oracle_denoiser_above_dense_limit_exit_2_with_one_line(self, tmp_path, capsys):
         # 17 x 17 = 289 signal dims, above the oracle's dense limit of 256
         cfg, _ = write_config(tmp_path, _override(MEMORIZE_INI, "task", image_side=17, dataset="field"))
@@ -395,7 +430,7 @@ class TestSample:
         net = dn.init_net(16, hidden=(8,), seed=0)
         net.flat[:] = 1e200  # finite weights whose products overflow
         ckpt = tmp_path / "overflow.ckpt"
-        dn.save_checkpoint(ckpt, net, parse_config(cfg).schedule)
+        save_for(ckpt, net, cfg)
         capsys.readouterr()
         with np.errstate(all="ignore"):
             code = cli.main([
@@ -447,11 +482,37 @@ class TestMisspec:
         rows = (dest / "metrics.csv").read_text().strip().splitlines()
         assert rows == ["run_id,task,variant,perturbation,psnr,ssim,n_samples,seed"]
 
+    @pytest.mark.parametrize("sweep, expected", [
+        ([], ["noise_var=0.5"]),
+        (["--param", "noise_var"], ["noise_var=0.5"]),
+        (["--values", "0.25"], ["noise_var=0.25"]),
+        (["--param", "lambda1", "--values", "4"], ["lambda1=4"]),
+        (["--param", "lambda1"], None),  # no values of its own
+    ])
+    def test_param_takes_eval_values_only_for_eval_param(self, tmp_path, capsys, sweep, expected):
+        text = _override(_override(MRI_7_INI, "eval", param="noise_var", values="0.5", n_draws=1),
+                         "sample", n_steps=2)
+        cfg, _ = write_config(tmp_path, text)
+        ckpt = tmp_path / "net.ckpt"
+        save_for(ckpt, dn.init_net(49, hidden=(8,)), cfg)
+        dest = tmp_path / "mis"
+        capsys.readouterr()
+        code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--output", str(dest), *sweep])
+        if expected is None:
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith("config error: --param lambda1 needs --values") and err.count("\n") == 1, err
+        else:
+            assert code == 0
+            rows = (dest / "misspec_summary.csv").read_text().strip().splitlines()[1:]
+            assert [row.split(",")[0] for row in rows] == expected
+
     def test_vector_task_exit_2(self, tmp_path, capsys):
         # dense and contrast have no deployment-time perturbation
         cfg, _ = write_config(tmp_path, GAUSS_TOY_INI)
         ckpt = tmp_path / "net.ckpt"
-        dn.save_checkpoint(ckpt, dn.init_net(4, hidden=(8,)), parse_config(cfg).schedule)
+        save_for(ckpt, dn.init_net(4, hidden=(8,)), cfg)
         capsys.readouterr()
         code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
                          "--output", str(tmp_path / "mis")])
@@ -482,7 +543,7 @@ class TestMisspec:
         ckpt = tmp_path / "net.ckpt"
         parsed = parse_config(cfg)
         net = dn.init_net(parsed.task.d, hidden=(8,), seed=0)
-        dn.save_checkpoint(ckpt, net, parsed.schedule)
+        save_for(ckpt, net, cfg)
         capsys.readouterr()
         code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
                          "--output", str(tmp_path / "mis"), *sweep])
@@ -544,6 +605,13 @@ BROKEN_CHECKPOINTS = {
     "append_scalar_embedding": lambda blob: _legacy_checkpoint(blob, "append_scalar", 8, 17),
     "four_time_frequencies": lambda blob: _legacy_checkpoint(blob, "sinusoidal", 4, 24),
     "non_finite_parameter": _nan_first_weight,
+    # written before the system hash, or for another system
+    "missing_system_hash": lambda blob: _drop_header_line(blob, "system_hash"),
+    "other_system": lambda blob: _replace_header_line(
+        blob, "system_hash", tasks.system_hash(tasks.TaskSpec(task="ct", image_side=4))
+    ),
+    # a 1e12-wide hidden layer: numpy refuses the allocation at once
+    "unallocatable_width": lambda blob: _replace_header_line(blob, "layer_dims", "80,1000000000000,64"),
 }
 
 
@@ -553,10 +621,9 @@ class TestBrokenCheckpoint:
     @pytest.fixture()
     def checkpoint(self, tmp_path):
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
-        spec = parse_config(cfg).schedule
         net = dn.init_net(16, hidden=(8,), seed=0)
         path = tmp_path / "good.ckpt"
-        dn.save_checkpoint(path, net, spec)
+        save_for(path, net, cfg)
         return cfg, path
 
     @pytest.mark.parametrize("command", ["sample", "misspec"])
@@ -585,8 +652,7 @@ class TestBrokenCheckpoint:
     def test_signal_width_other_than_the_system_exit_2(self, checkpoint, tmp_path):
         cfg, _ = checkpoint
         other = tmp_path / "other.ckpt"
-        spec = parse_config(cfg).schedule
-        dn.save_checkpoint(other, dn.init_net(9, hidden=(8,)), spec)
+        save_for(other, dn.init_net(9, hidden=(8,)), cfg)
         assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(other), "--simulate",
                          "--output", str(tmp_path / "run")]) == 2
 
@@ -595,7 +661,7 @@ def test_checkpoint_naming_the_fixed_embedding_samples_the_same_bytes(tmp_path):
     # a noisy dense system, on which the samples depend on the network
     cfg, _ = write_config(tmp_path, _override(GAUSS_TOY_INI, "sample", n_samples=8, n_steps=20))
     new = tmp_path / "new.ckpt"
-    dn.save_checkpoint(new, dn.init_net(4, hidden=(8,), seed=3), parse_config(cfg).schedule)
+    save_for(new, dn.init_net(4, hidden=(8,), seed=3), cfg)
     legacy = tmp_path / "legacy.ckpt"
     legacy.write_bytes(_legacy_checkpoint(new.read_bytes()))
     assert b"\ntime_embed=sinusoidal\ntime_freqs=8\n" in legacy.read_bytes()
@@ -631,9 +697,8 @@ class TestBrokenMeasurements:
     @pytest.mark.parametrize("fault", sorted(BROKEN_MEASUREMENTS))
     def test_exit_2_with_one_line(self, tmp_path, capsys, fault):
         cfg, _ = write_config(tmp_path, MEMORIZE_INI)
-        spec = parse_config(cfg).schedule
         ckpt = tmp_path / "net.ckpt"
-        dn.save_checkpoint(ckpt, dn.init_net(16, hidden=(8,)), spec)
+        save_for(ckpt, dn.init_net(16, hidden=(8,)), cfg)
         ypath = tmp_path / "y.sdbt"
         if BROKEN_MEASUREMENTS[fault] is not None:
             ypath.write_bytes(BROKEN_MEASUREMENTS[fault])
@@ -740,6 +805,32 @@ def test_config_roundtrip_identity(tmp_path):
         resolved = serialize_config(parsed)
         assert parse_config_text(resolved) == parsed, name
         assert serialize_config(parse_config_text(resolved)) == resolved, name
+
+
+_counts = st.integers(1, 10 ** 6)
+_seeds = st.integers(0, 2 ** 63)
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+TRAIN_SECTIONS = st.builds(
+    dn.TrainConfig,
+    lr=st.floats(0.0, 1e300), adam_beta1=_unit, adam_beta2=_unit, batch_size=_counts,
+    n_epochs=st.integers(0, 10 ** 6), seed=_seeds,
+    lr_milestones=st.lists(st.integers(-10, 10 ** 6), max_size=5).map(tuple),
+    hidden=st.lists(_counts, max_size=4).map(tuple), activation=st.sampled_from(dn.ACTIVATIONS),
+)
+SAMPLE_KEYS = st.fixed_dictionaries({
+    "n_steps": _counts, "n_samples": _counts, "seed": _seeds, "keep_every": st.integers(0, 10 ** 6),
+    "time_grid": st.sampled_from(sampler.TIME_GRIDS),
+})
+
+
+@settings(max_examples=200, deadline=None)
+@given(TRAIN_SECTIONS, SAMPLE_KEYS)
+def test_train_and_sample_sections_survive_serialize_then_parse(train, sample):
+    base = parse_config_text("")
+    cfg = dataclasses.replace(
+        base, train=train, sample=sampler.SamplerConfig(**sample, spec=base.schedule)
+    )
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 
 CONTRAST_INI = """

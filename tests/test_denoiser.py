@@ -176,19 +176,20 @@ class TestFlatLayout:
         seen = []
         real = dn.adam_step
 
-        def spy(params, grads, state, *args):
-            seen.extend([*grads, *state.m, *state.v, *state.scratch])
-            return real(params, grads, state, *args)
+        def spy(p, g, state, *args):
+            seen.extend([p, g, state.m, state.v, state.scratch])
+            return real(p, g, state, *args)
 
         monkeypatch.setattr(dn, "adam_step", spy)
         net = dn.init_net(3, hidden=(5,), seed=0)
         tcfg = dn.TrainConfig(lr=1e-3, batch_size=4, n_epochs=1, seed=0)
         dn.train(net, linop.identity_system(3), schedule.ScheduleSpec("sb"), np.ones((4, 3)), tcfg)
-        assert len(seen) == 4
+        assert len(seen) == 5 and seen[0] is net.flat
         for buf in seen:
             assert buf.ctypes.data % 64 == 0 and buf.shape == net.flat.shape
-        for buf in dn.adam_init([np.ones((3, 2)), np.ones(5)]).scratch:
-            assert buf.ctypes.data % 64 == 0
+        state = dn.adam_init(np.ones((3, 2)))
+        for buf in (state.m, state.v, state.scratch):
+            assert buf.ctypes.data % 64 == 0 and buf.shape == (3, 2)
 
     def test_train_bytes_independent_of_buffer_offset(self, monkeypatch):
         sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
@@ -330,18 +331,33 @@ class TestTrainBytes:
 
 class TestAdam:
     def test_zero_gradient_no_motion(self):
-        params = [np.ones((2, 2)), np.zeros(3)]
-        state = dn.adam_init(params)
-        before = [p.copy() for p in params]
-        dn.adam_step(params, [np.zeros((2, 2)), np.zeros(3)], state, 0.1, 0.9, 0.99)
-        for p, b in zip(params, before):
-            np.testing.assert_array_equal(p, b)
+        p = np.r_[np.ones(4), np.zeros(3)]
+        state = dn.adam_init(p)
+        before = p.copy()
+        dn.adam_step(p, np.zeros(7), state, 0.1, 0.9, 0.99)
+        np.testing.assert_array_equal(p, before)
+        assert state.step == 1
 
     def test_step_magnitude_bounded_by_lr(self):
-        params = [np.zeros(4)]
-        state = dn.adam_init(params)
-        dn.adam_step(params, [np.array([1.0, -1.0, 5.0, -0.1])], state, 0.01, 0.9, 0.99)
-        assert np.max(np.abs(params[0])) <= 0.01 * 1.001
+        p = np.zeros(4)
+        state = dn.adam_init(p)
+        dn.adam_step(p, np.array([1.0, -1.0, 5.0, -0.1]), state, 0.01, 0.9, 0.99)
+        assert np.max(np.abs(p)) <= 0.01 * 1.001
+
+    def test_textbook_update_bytes(self):
+        # two steps against the textbook formulas with one temporary per op
+        rng = np.random.default_rng(12)
+        p = rng.standard_normal(6)
+        ref_p, ref_m, ref_v = p.copy(), np.zeros(6), np.zeros(6)
+        state = dn.adam_init(p)
+        for k in (1, 2):
+            g = rng.standard_normal(6)
+            ref_m = 0.9 * ref_m + (1 - 0.9) * g
+            ref_v = 0.99 * ref_v + ((1 - 0.99) * g) * g
+            ref_p = ref_p - 0.01 * (ref_m / (1 - 0.9 ** k)) / (np.sqrt(ref_v / (1 - 0.99 ** k)) + 1e-8)
+            dn.adam_step(p, g, state, 0.01, 0.9, 0.99)
+        assert p.tobytes() == ref_p.tobytes()
+        assert state.m.tobytes() == ref_m.tobytes() and state.v.tobytes() == ref_v.tobytes()
 
 
 class TestTrain:

@@ -156,7 +156,7 @@ class TestSingleDrawLaw:
         d = sys.d
         zeros = np.zeros((d, d))
         n = noise_map(
-            lambda rng: sampler.reverse_step(sys, coeffs, zeros, zeros, dt, rng),
+            lambda rng: sampler.reverse_step(sys, sampler.plan_step(coeffs, dt), zeros, zeros, rng),
             d,
         )
         assert_gram(n, dt * diffusion_gram(sys, coeffs))
@@ -198,7 +198,8 @@ class TestSingleDrawLaw:
         locked = np.array([1.0, 2.0, 0.0, 0.0])
         before = locked.copy()
         sampler.reverse_step(
-            sys, coeffs, np.ones((3, 4)), np.zeros((3, 4)), 0.01, np.random.default_rng(0), locked,
+            sys, sampler.plan_step(coeffs, 0.01), np.ones((3, 4)), np.zeros((3, 4)),
+            np.random.default_rng(0), locked,
         )
         assert locked.tobytes() == before.tobytes()
 

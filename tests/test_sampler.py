@@ -1,5 +1,7 @@
 """Reverse sampler: initializer, single steps, data consistency."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,8 @@ class TestReverseStep:
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([1.0, 2.0])
         out = sampler.reverse_step(
-            sys, coeffs, x, np.zeros(2), 0.0, np.random.default_rng(0), np.array([1.0, 0.0])
+            sys, sampler.plan_step(coeffs, 0.0), x, np.zeros(2), np.random.default_rng(0),
+            np.array([1.0, 0.0]),
         )
         np.testing.assert_allclose(out, x)
 
@@ -62,14 +65,16 @@ class TestReverseStep:
         sys = linop.identity_system(2)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([0.4, -1.2])
-        out = sampler.reverse_step(sys, coeffs, x, x.copy(), 0.01, np.random.default_rng(0), x.copy())
+        step = sampler.plan_step(coeffs, 0.01)
+        out = sampler.reverse_step(sys, step, x, x.copy(), np.random.default_rng(0), x.copy())
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_noiseless_step_needs_locked_range(self):
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         with pytest.raises(ValueError, match="locked_range"):
             sampler.reverse_step(
-                mask_system(), coeffs, np.ones(2), np.zeros(2), 0.01, np.random.default_rng(0)
+                mask_system(), sampler.plan_step(coeffs, 0.01), np.ones(2), np.zeros(2),
+                np.random.default_rng(0),
             )
 
     def test_matches_dense_transcription(self):
@@ -83,7 +88,8 @@ class TestReverseStep:
         x = np.array([0.8, -0.6])
         denoised = np.array([0.5, 0.25])
         seed = 31
-        out = sampler.reverse_step(sys, coeffs, x.copy(), denoised, dt, np.random.default_rng(seed))
+        step = sampler.plan_step(coeffs, dt)
+        out = sampler.reverse_step(sys, step, x.copy(), denoised, np.random.default_rng(seed))
 
         a = np.array([[1.0, 0.0]])
         a_pinv = a.T
@@ -130,7 +136,8 @@ class TestFusedStep:
 
     def check(self, sys, coeffs, x, denoised, dt, seed, locked_range=None):
         out = sampler.reverse_step(
-            sys, coeffs, x.copy(), denoised, dt, np.random.default_rng(seed), locked_range
+            sys, sampler.plan_step(coeffs, dt), x.copy(), denoised, np.random.default_rng(seed),
+            locked_range,
         )
         expected = transcribed_step(
             sys, coeffs, x, denoised, dt, np.random.default_rng(seed), locked_range
@@ -173,15 +180,16 @@ class TestOperatorCalls:
     def test_reverse_step_noisy(self, counting):
         sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
-        sampler.reverse_step(sys, coeffs, np.ones((4, 3)), np.zeros((4, 3)), 0.01, np.random.default_rng(0))
+        step = sampler.plan_step(coeffs, 0.01)
+        sampler.reverse_step(sys, step, np.ones((4, 3)), np.zeros((4, 3)), np.random.default_rng(0))
         assert calls == {"apply": 1, "apply_pinv": 1}
 
     def test_reverse_step_noiseless_with_lock(self, counting):
         sys, calls = counting(mask_system())
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
         sampler.reverse_step(
-            sys, coeffs, np.ones((4, 2)), np.zeros((4, 2)), 0.01, np.random.default_rng(0),
-            np.array([1.0, 0.0]),
+            sys, sampler.plan_step(coeffs, 0.01), np.ones((4, 2)), np.zeros((4, 2)),
+            np.random.default_rng(0), np.array([1.0, 0.0]),
         )
         assert calls == {"apply": 1, "apply_pinv": 1}
 
@@ -194,8 +202,8 @@ class TestOperatorCalls:
 
 
 def per_step_sample(sys, config, y, denoiser):
-    """`sampler.sample` as it was before the step plan: the grid and the
-    coefficients computed step by step.  Returns (final, [(x, t) kept])."""
+    """`sampler.sample` without the step plan: the grid, the coefficients
+    and each `Step` computed step by step.  Returns (final, [(x, t) kept])."""
     spec = config.spec
     rng = np.random.default_rng(config.seed)
     x = sampler.initialize(sys, spec, y, rng)
@@ -206,8 +214,8 @@ def per_step_sample(sys, config, y, denoiser):
     for k in range(config.n_steps):
         t = grid[k]
         dt = t - grid[k + 1]
-        coeffs = schedule.evaluate(spec, t)
-        x = sampler.reverse_step(sys, coeffs, x, denoiser(x, t), dt, rng, locked_range)
+        step = sampler.plan_step(schedule.evaluate(spec, t), dt)
+        x = sampler.reverse_step(sys, step, x, denoiser(x, t), rng, locked_range)
         t_kept -= dt
         if config.keep_every and (k + 1) % config.keep_every == 0:
             kept.append((x.copy(), t_kept))
@@ -280,11 +288,62 @@ class TestStepPlan:
         ]
         for other in others:
             assert other != plan
-        assert [c.alpha for _, _, c in plan] != [c.alpha for _, _, c in others[0]]
+        assert [s.denoised_gain for s in plan] != [s.denoised_gain for s in others[0]]
         assert len(others[1]) == 11
-        assert [t for t, _, _ in plan] != [t for t, _, _ in others[2]]
-        for t, dt, coeffs in plan:
-            assert type(t) is float and type(dt) is float and coeffs.t == t
+        assert [s.t for s in plan] != [s.t for s in others[2]]
+
+    @pytest.mark.parametrize("grid", sampler.TIME_GRIDS)
+    @pytest.mark.parametrize("variant", schedule.VARIANTS)
+    def test_steps_are_records_of_python_floats(self, variant, grid):
+        plan = sampler._step_plan(schedule.ScheduleSpec(variant), 12, grid)
+        for step in plan:
+            assert type(step) is sampler.Step
+            assert all(type(v) is float for v in step if v is not None)
+
+    @pytest.mark.parametrize("grid", sampler.TIME_GRIDS)
+    @pytest.mark.parametrize("variant", schedule.VARIANTS)
+    def test_steps_equal_the_per_call_derivation(self, variant, grid):
+        # the scalars as a step derived them from its coefficients on every
+        # call, at the grid's numpy points: bit for bit the same
+        spec = schedule.ScheduleSpec(variant)
+        n = 40
+        points = (
+            np.linspace(spec.t_max, spec.t_min, n + 1) if grid == "uniform"
+            else sampler.time_grid(spec, n, grid)
+        )
+        plan = sampler._step_plan(spec, n, grid)
+        assert len(plan) == n
+        for step, t, t_next in zip(plan, points, points[1:]):
+            c = schedule.evaluate(spec, t)
+            dt = t - t_next
+            lam = c.dlog_alpha_dt
+            stiff = c.f_null - 2.0 * lam
+            expected = (
+                t,
+                dt,
+                np.sqrt(dt * max(c.gnull_sq, 0.0)),
+                dt * stiff * c.alpha,
+                1.0 - dt * (stiff + lam),
+                dt * c.f_range,
+                np.sqrt(dt * c.dgamma_dt) if c.dgamma_dt > 0 else None,
+            )
+            assert [None if v is None else float.hex(float(v)) for v in step] == [
+                None if v is None else float.hex(float(v)) for v in expected
+            ]
+
+    def test_thousand_step_plan_holds_under_0_3_mb(self):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            plan = sampler._step_plan.__wrapped__(schedule.ScheduleSpec("sb"), 1000, "uniform")
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(plan) == 1000 and held <= 0.3e6
+
+    def test_negative_step_length_refused(self):
+        with pytest.raises(ValueError, match="dt"):
+            sampler.plan_step(schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5), -1e-3)
 
     def test_network_time_features_read_only(self):
         net = dn.init_net(3, hidden=(4,), seed=0)
@@ -371,7 +430,7 @@ class TestSample:
         with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
             sampler.sample(mask_system(), cfg, np.array([0.5]), den)
         assert err.value.step == 3
-        assert err.value.t == sampler._step_plan(spec, 10, "uniform")[3][0]
+        assert err.value.t == sampler._step_plan(spec, 10, "uniform")[3].t
         message = str(err.value)
         assert "\n" not in message and "step 3" in message and "max|denoised|=inf" in message
         assert len(times) == 4

@@ -1,5 +1,7 @@
 """Benchmark operators, perturbations, metrics, toy datasets."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -338,3 +340,48 @@ def test_noise_factor_is_sigma_half_times_identity(name):
     sys = tasks.build_system(spec)
     assert sys.sigma_half == pytest.approx(sigma)
     np.testing.assert_array_equal(linop.materialize_noise_half(sys), sys.sigma_half * np.eye(sys.m))
+
+
+# another valid value of every TaskSpec field, for the bases below
+OTHER_VALUE = {
+    "image_side": 2, "signal_dim": 16, "mask_fraction": 0.25, "factor": 4, "tau": 0.2,
+    "sigma1_sq": 0.01, "latent_dim": 3, "lambda1_pct": 10.0, "lambda2_pct": 20.0,
+    "sigma2_sq": 0.5, "dense_m": 3, "noise_var": 0.1, "contrast_k": 2.0, "contrast_a": 0.3,
+    "seed": 7, "dataset": "point", "n_train": 5, "data_seed": 3, "gauss_mean": 0.3,
+    "gauss_var": 2.0, "field_scale": 2.0, "field_amp": 0.2, "field_mean": 0.4, "mix_sep": 1.0,
+    "mix_std": 0.3, "mix_coord": 0, "point_value": 0.2,
+}
+HASH_BASES = {
+    "inpainting": tasks.TaskSpec("inpainting", image_side=4),
+    "superres": tasks.TaskSpec("superres", image_side=4, factor=2),
+    "ct": tasks.TaskSpec("ct", image_side=4),
+    "mri": tasks.TaskSpec("mri", image_side=4),
+    "dense": tasks.TaskSpec("dense", signal_dim=4, dataset="gaussian"),
+    "contrast": tasks.TaskSpec("contrast", signal_dim=4, dataset="gaussian"),
+}
+
+
+def _acts(sys, rng):
+    """The system's m, d, kappa and its three operators on fixed draws, as bytes."""
+    x = rng.standard_normal((3, sys.d))
+    eps = rng.standard_normal((3, sys.m))
+    ops = (sys.apply(x), sys.apply_pinv(eps), sys.noise_scale(eps))
+    return (sys.m, sys.d, sys.kappa, *(op.tobytes() for op in ops))
+
+
+@pytest.mark.parametrize("task", sorted(HASH_BASES))
+def test_system_hash_covers_what_the_system_is_built_from(task):
+    # each walked field moves the hash, and an equal hash means the same system
+    base = HASH_BASES[task]
+    assert set(OTHER_VALUE) == {f.name for f in dataclasses.fields(tasks.TaskSpec)} - {"task"}
+    reference = _acts(tasks.build_system(base), np.random.default_rng(0))
+    for name, value in OTHER_VALUE.items():
+        other = dataclasses.replace(base, **{name: value})
+        if name in tasks._SYSTEM_FIELDS[task]:
+            assert tasks.system_hash(other) != tasks.system_hash(base), name
+        elif tasks.system_hash(other) == tasks.system_hash(base):
+            assert _acts(tasks.build_system(other), np.random.default_rng(0)) == reference, name
+
+
+def test_system_hash_differs_between_tasks():
+    assert len({tasks.system_hash(spec) for spec in HASH_BASES.values()}) == len(HASH_BASES)

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sysbridge import tensorio
 from sysbridge.errors import DimensionError
@@ -142,3 +144,23 @@ def test_bad_tensor_file_raises_value_or_os_error(tmp_path, fault):
     expected = OSError if fault == "missing_file" else DimensionError
     with pytest.raises(expected):
         tensorio.load_tensor(path)
+
+
+def _record_prefixes():
+    """Magic, a rank and dimensions (small, zero or up to 2^32 - 1), then any bytes."""
+    dims = st.lists(st.one_of(st.integers(0, 4), st.just(2 ** 32 - 1)), max_size=5)
+    return st.builds(
+        lambda rank, found, tail: tensorio.MAGIC + struct.pack(f"<I{len(found)}I", rank, *found) + tail,
+        st.one_of(st.integers(0, 6), st.integers(0, 2 ** 32 - 1)), dims, st.binary(max_size=64),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=96), st.binary(max_size=96).map(lambda b: tensorio.MAGIC + b),
+                 _record_prefixes()))
+def test_arbitrary_bytes_give_a_tensor_or_a_dimension_error(blob):
+    for stream in (io.BytesIO(blob), _Pipe(blob)):
+        try:
+            tensorio.read_tensor(stream)
+        except DimensionError:
+            pass
