@@ -39,7 +39,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from . import forward, tensorio
+from . import forward, linop, tensorio
 from .errors import DimensionError, NumericalError, check_finite
 from .linop import LinearSystem
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
@@ -291,7 +291,7 @@ def l1_loss_and_grad(net: DenoiserNet, x, t: float, target, grads) -> float:
 def loss_and_grad(
     net: DenoiserNet, sys: LinearSystem, coeffs: ScheduleCoeffs, x0, rng, grads=None
 ):
-    """Draw the corrupted batch, evaluate the L1 loss and backpropagate.
+    """Draw the corrupted batch from ``rng``, evaluate the L1 loss and backpropagate.
 
     Returns (loss, grads) where grads mirrors net.parameters() order
     (w0, b0, w1, b1, ...).  The gradients are written into ``grads`` when
@@ -300,7 +300,7 @@ def loss_and_grad(
     if grads is None:
         grads = param_views(np.empty_like(net.flat), net.layer_dims)
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-    x_t = forward.forward_sample(sys, coeffs, x0, rng)
+    x_t = forward.forward_sample(sys, coeffs, x0, linop.draw_noise(sys, rng, x0.shape))
     loss = l1_loss_and_grad(net, x_t, coeffs.t, x0, grads)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite loss at t={coeffs.t}")
@@ -448,10 +448,10 @@ def load_checkpoint(path):
     Each tensor record is checked against the shape that the header's
     ``layer_dims`` give it and read straight into the net's parameter
     vector.  A malformed file raises ValueError (DimensionError for a wrong
-    shape or a truncated record), a missing one OSError.  Other header lines
-    are only returned: the ``time_embed`` and ``time_freqs`` lines of older
-    checkpoints say nothing that ``layer_dims`` does not, and a net built
-    for another time embedding fails the input-width check.
+    shape or a truncated record), a missing one OSError.  The time embedding
+    is fixed (`TIME_FREQS`), so ``layer_dims`` gives the whole net, and one
+    whose input width is not its output width plus 16 is a DimensionError.
+    Other header lines are only returned.
     """
     with open(path, "rb") as fh:
         header = {}

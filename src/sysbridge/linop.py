@@ -9,17 +9,20 @@ component A+ A x, which survives measurement, and the null component
 part of one vector with the range part of another in a single `apply` and
 `apply_pinv`; the forward process and the sampler update through it.
 
-A system is a partial isometry when all its nonzero singular values equal
-one s; then A+ A+^T = kappa A+ A with kappa = 1 / s^2 (masks: 1, orthonormal
-Fourier rows: 1, k x k block means: k^2).  With scalar noise S = s I as well,
-the range noise A+ S e has the law of s sqrt(kappa) A+ A z for a standard
-normal z in signal space, and the range and null parts of one z are
-independent.  Such systems carry `kappa`, and the forward process and the
-sampler then take their range noise from the range part of the null-noise
-draw z: one d-wide Gaussian draw per update instead of a d-wide and an
-m-wide one.  Every other system (matrix noise, a decaying spectrum as in
-truncated_svd) draws e in measurement space.  `update_noise` holds this
-rule and the draw order for all three callers.
+Each noisy update (a forward draw, a forward-SDE step, a reverse step) is
+affine in its state and in its standard normal draws, a `Noise` record:
+z in signal space, whose null part is the null noise, and, on some
+systems, eps in measurement space for the range noise A+ S eps.  A system
+is a partial isometry when all its nonzero singular values equal one s;
+then A+ A+^T = kappa A+ A with kappa = 1 / s^2 (masks: 1, orthonormal
+Fourier rows: 1, k x k block means: k^2).  With scalar noise S = s I as
+well, A+ S eps has the law of s sqrt(kappa) A+ A z, and the range and null
+parts of one z are independent.  Such systems carry `kappa` and take their
+range noise from the range part of z: one d-wide draw per update instead
+of a d-wide and an m-wide one.  Every other noisy system (matrix noise, a
+decaying spectrum as in truncated_svd) draws eps as well.  `draw_noise`
+holds this rule and the draw order, and `with_range_noise` turns the draws
+into range noise; the updates themselves never see a generator.
 
 A `LinearSystem` states each map once: A through `apply` and
 `apply_pinv`, S through `sigma_half`, and kappa; its `noise_scale`
@@ -35,7 +38,7 @@ oracles.  Every closure is vectorized over leading axes: inputs of shape
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -196,28 +199,36 @@ def with_range(sys: LinearSystem, v: np.ndarray, r, s=None) -> np.ndarray:
     return out
 
 
-def update_noise(sys: LinearSystem, rng, shape, range_scale=None):
-    """The Gaussian draws of one range/null update, in their fixed order.
+class Noise(NamedTuple):
+    """The standard normal draws of one update: z in signal space, and eps
+    in measurement space on a noisy system without `range_noise_gain`."""
 
-    Returns (v, range_add, range_noise): v is the signal-space standard
-    normal of the given shape, which the caller scales into null noise.
-    With ``range_scale`` None the update has no range noise and both other
-    entries are None.  Otherwise a system with `range_noise_gain` set takes
-    its range noise from v: range_add = gain range_scale v goes into the
-    range argument r of `with_range`, and range_noise is None.  Any other
-    noisy system first draws eps in measurement space and returns
-    range_noise = S (range_scale eps) for the s argument, range_add None.
-    """
-    if range_scale is None or sys.noise_is_zero:
-        return rng.standard_normal(shape), None, None
+    z: np.ndarray
+    eps: Optional[np.ndarray] = None
+
+
+def draw_noise(sys: LinearSystem, rng, shape) -> Noise:
+    """One update's draws for a state of the given shape, in their fixed
+    order: eps first when the system takes it, then z."""
+    eps = None
+    if not sys.noise_is_zero and sys.range_noise_gain is None:
+        eps = rng.standard_normal(tuple(shape[:-1]) + (sys.m,))
+    return Noise(rng.standard_normal(shape), eps)
+
+
+def with_range_noise(sys: LinearSystem, v: np.ndarray, r, noise: Noise, range_scale: float):
+    """`with_range(sys, v, r', s)` with the range noise of ``noise`` at
+    ``range_scale`` added: r' = r + gain range_scale z on a system with
+    `range_noise_gain`, s = S (range_scale eps) on any other noisy system,
+    and neither on a noiseless one.  The draws are read, never written."""
+    if sys.noise_is_zero:
+        return with_range(sys, v, r)
     gain = sys.range_noise_gain
     if gain is not None:
-        v = rng.standard_normal(shape)
-        return v, v * (gain * range_scale), None
-    eps = rng.standard_normal(tuple(shape[:-1]) + (sys.m,))
-    eps *= range_scale
-    range_noise = sys.noise_scale(eps)
-    return rng.standard_normal(shape), None, range_noise
+        r_noisy = noise.z * (gain * range_scale)
+        r_noisy += r
+        return with_range(sys, v, r_noisy)
+    return with_range(sys, v, r, sys.noise_scale(noise.eps * range_scale))
 
 
 def make_noise_scale(sigma_half: SigmaHalf, m: int):

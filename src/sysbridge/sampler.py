@@ -14,26 +14,17 @@ conditional expectation (see oracle.dense_score and `score_drift`), and
 injects noise through the same G as the forward process.
 
 Every term acts on one subspace only, so a whole step is a single range/null
-split, `linop.with_range`, at the cost of one `apply` and one `apply_pinv`:
+split, `linop.with_range_noise`, at the cost of one `apply` and one
+`apply_pinv`: it keeps the null part of x + w, takes the range part of
+x + u and adds the range noise at sqrt(dt dgamma/dt), where
 
-    x_new = with_range(x + w, x + u, sqrt(dt dgamma/dt) S eps)
-    w     = dt [(f_null - 2 L)(alpha d - x) - L x] + sqrt(dt) gnull eps_null
-    u     = dt f_range (d - x),          d = denoised estimate
+    w = dt [(f_null - 2 L)(alpha d - x) - L x] + sqrt(dt) gnull z
+    u = dt f_range (d - x),          d = denoised estimate
 
-keeps the null part of x + w, takes the range part of x + u and adds the
-range noise A+ S eps.  The chain start is with_range(sqrt(beta) eps_null,
-0, y) at the same cost.
-
-On a partial isometry with scalar noise s I (`LinearSystem.range_noise_gain`
-set: masks, `fourier_mask`, `avgpool`, dense systems with equal singular
-values such as single rows) the step draws eps_null only and takes its
-range noise from the range part of that draw, which is independent of the
-null part and has the law of A+ S eps (see `linop`):
-
-    x_new = with_range(x + w, x + u + sqrt(dt dgamma/dt) s sqrt(kappa) eps_null)
-
-One d-wide Gaussian draw per step instead of a d-wide and an m-wide one,
-at no extra operator call.
+and z is the step's signal-space draw.  `linop` states which draws a system
+takes and how they become range noise; a step and the chain start are
+plain maps of their arrays and draws, and only `sample` holds a generator.
+The chain start is with_range(sqrt(beta) z, 0, y) at the same cost.
 
 When the system is noiseless the range component carries the signal exactly:
 range noise and range drift are skipped, and the range part x + u is
@@ -79,7 +70,7 @@ class SamplerConfig:
     n_steps: int = 100
     n_samples: int = 16
     seed: int = 0
-    keep_every: int = 0  # 0 disables checkpoint retention
+    keep_every: int = 0  # 0 disables checkpoint retention; at most n_steps
     time_grid: str = "uniform"
     spec: ScheduleSpec = field(kw_only=True, metadata={"ini": None})
 
@@ -90,8 +81,8 @@ class SamplerConfig:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if self.keep_every < 0:
-            raise ValueError("keep_every must be >= 0")
+        if not 0 <= self.keep_every <= self.n_steps:
+            raise ValueError("keep_every must be in [0, n_steps]")
         if self.time_grid not in TIME_GRIDS:
             raise ValueError(f"unknown time grid {self.time_grid!r}, expected {TIME_GRIDS}")
 
@@ -157,7 +148,7 @@ class Step(NamedTuple):
     denoised_gain: float  # dt stiff alpha,  stiff = f_null - 2 L
     state_gain: float  # 1 - dt (stiff + L)
     range_gain: float  # dt f_range
-    range_scale: Optional[float]  # sqrt(dt dgamma/dt); None when dgamma/dt <= 0
+    range_scale: float  # sqrt(dt dgamma/dt)
 
 
 def plan_step(c: ScheduleCoeffs, dt: float) -> Step:
@@ -173,7 +164,7 @@ def plan_step(c: ScheduleCoeffs, dt: float) -> Step:
         denoised_gain=dt * stiff * c.alpha,
         state_gain=1.0 - dt * (stiff + lam),
         range_gain=dt * c.f_range,
-        range_scale=math.sqrt(dt * c.dgamma_dt) if c.dgamma_dt > 0 else None,
+        range_scale=math.sqrt(dt * c.dgamma_dt),
     )
 
 
@@ -184,8 +175,9 @@ def _step_plan(spec: ScheduleSpec, n_steps: int, mode: str):
     return tuple(plan_step(evaluate(spec, t), t - t_next) for t, t_next in zip(grid, grid[1:]))
 
 
-def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> np.ndarray:
-    """Reconstruction-plus-null-noise chain start at t = 1 - eps1.
+def initialize(sys: LinearSystem, spec: ScheduleSpec, y, z) -> np.ndarray:
+    """Reconstruction-plus-null-noise chain start at t = 1 - eps1 from the
+    signal-space standard normal draw z.
 
     y may carry leading batch axes; each row seeds one chain.
     """
@@ -195,10 +187,8 @@ def initialize(sys: LinearSystem, spec: ScheduleSpec, y, rng) -> np.ndarray:
             f"initialize: expected measurements with last axis {sys.m}, got {y.shape}"
         )
     beta = evaluate(spec, spec.t_max).beta
-    noise = rng.standard_normal(y.shape[:-1] + (sys.d,))
-    noise *= np.sqrt(beta)
     # A+ y plus the null part of the noise
-    return linop.with_range(sys, noise, 0.0, y)
+    return linop.with_range(sys, z * np.sqrt(beta), 0.0, y)
 
 
 def score_drift(
@@ -223,23 +213,22 @@ def reverse_step(
     step: Step,
     x: np.ndarray,
     denoised: np.ndarray,
-    rng,
+    noise: linop.Noise,
     locked_range: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """One Euler-Maruyama update of x by ``step``: one `apply` and one
-    `apply_pinv` (module docstring).
+    """One Euler-Maruyama update of x by ``step`` with the draws ``noise``
+    (`linop.draw_noise` for x's shape): one `apply` and one `apply_pinv`
+    (module docstring).
 
     A noiseless system needs ``locked_range``, the chain's range part A+ y,
     which becomes the new range part; a noisy one takes None.
-    `linop.update_noise` makes the draws, in its fixed order.
     """
     if sys.noise_is_zero and locked_range is None:
         raise ValueError("a noiseless system's step needs locked_range, A+ y")
     x = np.asarray(x, dtype=np.float64)
     denoised = np.asarray(denoised, dtype=np.float64)
-    # x + w, accumulated in the draw's buffer
-    v, range_draw, range_noise = linop.update_noise(sys, rng, x.shape, step.range_scale)
-    v *= step.null_scale
+    # x + w
+    v = np.multiply(noise.z, step.null_scale)
     tmp = np.multiply(denoised, step.denoised_gain)
     v += tmp
     np.multiply(x, step.state_gain, out=tmp)
@@ -252,10 +241,7 @@ def reverse_step(
         r = np.subtract(denoised, x, out=tmp)
         r *= step.range_gain
         r += x
-    if range_draw is not None:
-        # the range part of the signal-space draw is the range noise
-        r = np.add(r, range_draw, out=range_draw)
-    return linop.with_range(sys, v, r, range_noise)
+    return linop.with_range_noise(sys, v, r, noise, step.range_scale)
 
 
 def sample(
@@ -270,8 +256,10 @@ def sample(
 
     With 1-D y and n_chains > 1, the measurement is shared across chains;
     a 2-D y runs one chain per row.  The denoiser receives the whole chain
-    batch at once.  Checkpoints are retained every config.keep_every steps
-    when that is nonzero.  A step that leaves a non-finite state raises
+    batch at once.  ``rng`` (by default seeded with config.seed) draws the
+    chain start's z, then each step's `linop.draw_noise` after its denoiser
+    call.  Checkpoints are retained every config.keep_every steps when that
+    is nonzero.  A step that leaves a non-finite state raises
     `DivergenceError` with its index and time.
     """
     spec = config.spec
@@ -281,7 +269,7 @@ def sample(
     if y.ndim == 1 and n_chains > 1:
         y = np.broadcast_to(y, (n_chains, y.shape[0])).copy()
 
-    x = initialize(sys, spec, y, rng)
+    x = initialize(sys, spec, y, rng.standard_normal(y.shape[:-1] + (sys.d,)))
     # the range part of the chain start
     locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
 
@@ -289,7 +277,7 @@ def sample(
     t_kept = spec.t_max
     for k, step in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
         denoised = denoiser(x, step.t)
-        x = reverse_step(sys, step, x, denoised, rng, locked_range)
+        x = reverse_step(sys, step, x, denoised, linop.draw_noise(sys, rng, x.shape), locked_range)
         if not np.isfinite(x).all():
             raise DivergenceError(
                 f"chain diverged at step {k} (t={step.t:.6f}, "

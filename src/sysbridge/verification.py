@@ -186,9 +186,8 @@ def suite_gradients(n_points: int = 20, h: float = 1e-5) -> List[CheckResult]:
 
         _, grads = loss_at()
         # keep clear of the L1 kink: residual entries must not sit near zero
-        x_t = forward.forward_sample(
-            sys, coeffs, np.atleast_2d(x0), np.random.default_rng(noise_seed)
-        )
+        noise = linop.draw_noise(sys, np.random.default_rng(noise_seed), (1, d))
+        x_t = forward.forward_sample(sys, coeffs, np.atleast_2d(x0), noise)
         resid = dn.forward_denoise(net, x_t, coeffs.t) - x0
         if float(np.min(np.abs(resid))) < 1e-3:
             continue

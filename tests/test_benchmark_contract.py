@@ -63,3 +63,20 @@ def test_traced_recon_inpaint_job(perfbench, tmp_path):
     assert trace.layer_metrics()["linop.calls_per_step"] == (2.0, "count/step")
     assert trace.adds_up()
     assert _files() == files
+
+
+def test_traced_sample_mri_job(perfbench, tmp_path):
+    # the noisy partial-isometry path: one signal-space draw per step
+    files, tracer, workloads = perfbench
+    trace = tracer.Tracer()
+    workload = workloads.SampleMri(seed=3, workdir=tmp_path)
+    workload.prepare()
+    with trace.active():
+        state = workload.setup(trace)
+    with trace.active():
+        job = workload.run(state, 0, trace)
+    assert (job.failed, job.errors) == (0, [])
+    assert trace.calls("sampler.reverse_step") == workloads.SAMPLE_STEPS == 100
+    assert trace.layer_metrics()["linop.calls_per_step"] == (2.0, "count/step")
+    assert trace.adds_up()
+    assert _files() == files

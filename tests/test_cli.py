@@ -9,14 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sysbridge import cli, sampler, tasks, tensorio
 from sysbridge import denoiser as dn
 from sysbridge.config import EvalSection, parse_config, parse_config_text, serialize_config
 from sysbridge.errors import ConfigError
-from sysbridge.schedule import ScheduleSpec
+from sysbridge.schedule import VARIANTS, ScheduleSpec
 
 MEMORIZE_INI = """
 [run]
@@ -169,6 +169,8 @@ OUT_OF_RANGE = {
     "dense_m": ("train", GAUSS_TOY_INI, "task", {"dense_m": 0}),
     "n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 0}),
     "keep_every": ("sample", GAUSS_TOY_INI, "sample", {"keep_every": -1}),
+    # a kept state needs a step: keep_every is at most n_steps
+    "keep_every_above_n_steps": ("sample", GAUSS_TOY_INI, "sample", {"n_steps": 10, "keep_every": 50}),
     "time_grid": ("sample", GAUSS_TOY_INI, "sample", {"time_grid": "foo"}),
     # noiseless chains always pin their range part: range_lock is no key
     "range_lock": ("sample", GAUSS_TOY_INI, "sample", {"range_lock": "true"}),
@@ -817,10 +819,10 @@ TRAIN_SECTIONS = st.builds(
     lr_milestones=st.lists(st.integers(-10, 10 ** 6), max_size=5).map(tuple),
     hidden=st.lists(_counts, max_size=4).map(tuple), activation=st.sampled_from(dn.ACTIVATIONS),
 )
-SAMPLE_KEYS = st.fixed_dictionaries({
-    "n_steps": _counts, "n_samples": _counts, "seed": _seeds, "keep_every": st.integers(0, 10 ** 6),
-    "time_grid": st.sampled_from(sampler.TIME_GRIDS),
-})
+SAMPLE_KEYS = _counts.flatmap(lambda n_steps: st.fixed_dictionaries({
+    "n_steps": st.just(n_steps), "n_samples": _counts, "seed": _seeds,
+    "keep_every": st.integers(0, n_steps), "time_grid": st.sampled_from(sampler.TIME_GRIDS),
+}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -832,6 +834,54 @@ def test_train_and_sample_sections_survive_serialize_then_parse(train, sample):
     )
     assert parse_config_text(serialize_config(cfg)) == cfg
 
+
+
+def _constructed(cls, **fields):
+    """A strategy for ``cls(**drawn fields)`` that skips values it refuses."""
+
+    def build(kwargs):
+        try:
+            return cls(**kwargs)
+        except ValueError:
+            reject()
+
+    return st.fixed_dictionaries(fields).map(build)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(1e-6, 1e6)
+SCHEDULE_SECTIONS = _constructed(
+    ScheduleSpec, variant=st.sampled_from(VARIANTS), b0=_positive, b1=_positive,
+    sigma_max=st.floats(1.0, 1e6), eps1=st.floats(0.0, 0.5), eps2=st.floats(0.0, 0.5),
+)
+EVAL_SECTIONS = _constructed(
+    EvalSection, param=st.sampled_from(("",) + tasks.SWEEP_PARAMS),
+    values=st.lists(_finite, max_size=5).map(tuple), n_draws=_counts, seed=_seeds,
+)
+_side = st.integers(1, 12)
+TASK_SECTIONS = _constructed(
+    tasks.TaskSpec, task=st.sampled_from(tasks.TASKS + tasks.VECTOR_TASKS),
+    image_side=_side, signal_dim=st.one_of(st.just(0), st.integers(1, 144)),
+    mask_fraction=_unit, factor=st.integers(1, 4), tau=st.floats(0.0, 10.0),
+    sigma1_sq=st.floats(0.0, 10.0), latent_dim=st.integers(1, 64),
+    lambda1_pct=st.floats(0.0, 50.0), lambda2_pct=st.floats(0.0, 50.0),
+    sigma2_sq=st.floats(0.0, 10.0), dense_m=st.integers(1, 64), noise_var=st.floats(0.0, 10.0),
+    contrast_k=_finite, contrast_a=_finite, seed=_seeds, dataset=st.sampled_from(tasks.DATASETS),
+    n_train=_counts, data_seed=_seeds, gauss_mean=_finite, gauss_var=_positive,
+    field_scale=_positive, field_amp=st.floats(0.0, 1e6), field_mean=_finite, mix_sep=_finite,
+    mix_std=_positive, mix_coord=st.integers(-3, 3), point_value=_finite,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(TASK_SECTIONS, SCHEDULE_SECTIONS, EVAL_SECTIONS)
+def test_task_schedule_and_eval_sections_survive_serialize_then_parse(task, schedule, eval_):
+    base = parse_config_text("")
+    cfg = dataclasses.replace(
+        base, task=task, schedule=schedule, eval=eval_,
+        sample=dataclasses.replace(base.sample, spec=schedule),
+    )
+    assert parse_config_text(serialize_config(cfg)) == cfg
 
 CONTRAST_INI = """
 [run]

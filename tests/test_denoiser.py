@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sysbridge import denoiser as dn
 from sysbridge import forward, linop, schedule
@@ -100,9 +102,9 @@ class TestLossAndGrad:
                 return dn.loss_and_grad(net, sys, coeffs, x0, np.random.default_rng(seed))
 
             loss, grads = loss_fn()
-            from sysbridge import forward as fwd
-
-            x_t = fwd.forward_sample(sys, coeffs, np.atleast_2d(x0), np.random.default_rng(seed))
+            x0_2d = np.atleast_2d(x0)
+            noise = linop.draw_noise(sys, np.random.default_rng(seed), x0_2d.shape)
+            x_t = forward.forward_sample(sys, coeffs, x0_2d, noise)
             resid = dn.forward_denoise(net, x_t, coeffs.t) - x0
             if np.min(np.abs(resid)) < 1e-3:
                 continue
@@ -293,7 +295,7 @@ def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
         for start in range(0, data.shape[0], tcfg.batch_size):
             batch = data[order[start : start + tcfg.batch_size]]
             coeffs = schedule.evaluate(spec, rng.uniform(spec.t_min, spec.t_max))
-            x_t = forward.forward_sample(sys, coeffs, batch, rng)
+            x_t = forward.forward_sample(sys, coeffs, batch, linop.draw_noise(sys, rng, batch.shape))
             loss, grads = _ref_l1_loss_and_grad(net, weights, biases, x_t, coeffs.t, batch)
             step += 1
             c1 = 1.0 - beta1 ** step
@@ -468,6 +470,33 @@ class TestCheckpoint:
             _, loaded, header = dn.load_checkpoint(path)
             assert loaded == spec
             assert header["schedule_hash"] == dn.schedule_hash(loaded)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_arbitrary_preamble_gives_a_net_or_a_refusal(self, tmp_path, data):
+        # a preamble of lines that are valid, valid keys with arbitrary
+        # values, or arbitrary text, ahead of a valid net's tensor records:
+        # load_checkpoint returns a net or raises what the command line
+        # turns into exit 2
+        net = dn.init_net(2, hidden=(3,), seed=0)
+        path = tmp_path / "net.ckpt"
+        dn.save_checkpoint(path, net, schedule.ScheduleSpec("sb"))
+        preamble, _, records = path.read_bytes().partition(b"---\n")
+        valid = preamble.decode("utf-8").splitlines()
+        keys = [line.partition("=")[0] for line in valid]
+        line = st.one_of(
+            st.sampled_from(valid),
+            st.builds("{}={}".format, st.sampled_from(keys), st.text(max_size=30)),
+            st.text(max_size=40),
+        )
+        lines = data.draw(st.lists(line, max_size=len(valid) + 3))
+        text = "\n".join(lines) + ("\n" if lines else "")
+        path.write_bytes(text.encode("utf-8") + b"---\n" + records)
+        try:
+            loaded, _, _ = dn.load_checkpoint(path)
+        except (ValueError, OSError):
+            return
+        assert isinstance(loaded, dn.DenoiserNet)
 
     def test_schedule_hash_sensitivity(self):
         s1 = schedule.ScheduleSpec("sb", b0=0.1)

@@ -50,10 +50,9 @@ class TestForwardSample:
         sys = mask_system(sigma=0.0)
         spec = schedule.ScheduleSpec("vp")
         x0 = np.array([1.5, -0.5])
+        noise = linop.draw_noise(sys, np.random.default_rng(0), x0.shape)
         for t in (0.1, 0.5, 0.9):
-            x_t = forward.forward_sample(
-                sys, schedule.evaluate(spec, t), x0, np.random.default_rng(0)
-            )
+            x_t = forward.forward_sample(sys, schedule.evaluate(spec, t), x0, noise)
             np.testing.assert_allclose(
                 linop.project_range(sys, x_t), [1.5, 0.0], atol=1e-12
             )
@@ -63,8 +62,8 @@ class TestForwardSample:
         sys = linop.build_dense_system(np.zeros((1, 3)))
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, spec.t_max)
-        rng = np.random.default_rng(1)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((50_000, 3)), rng)
+        noise = linop.draw_noise(sys, np.random.default_rng(1), (50_000, 3))
+        xs = forward.forward_sample(sys, coeffs, np.zeros((50_000, 3)), noise)
         assert abs(xs.mean()) < 0.02
         assert abs(xs.var() - coeffs.beta) < 0.02
 
@@ -72,8 +71,8 @@ class TestForwardSample:
         sys = linop.identity_system(3, sigma_half=2.0)
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, 0.0625)  # gamma = 0.25
-        rng = np.random.default_rng(2)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 3)), rng)
+        noise = linop.draw_noise(sys, np.random.default_rng(2), (100_000, 3))
+        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 3)), noise)
         assert coeffs.gamma == pytest.approx(0.25)
         np.testing.assert_allclose(xs.var(axis=0), 0.25 * 4.0, rtol=0.03)
 
@@ -82,9 +81,10 @@ class TestForwardSample:
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.4)
         x1 = np.array([1.0, 2.0])
         x2 = np.array([-0.3, 0.7])
+        noise = linop.draw_noise(sys, np.random.default_rng(7), x1.shape)
         out = {}
         for name, x in (("x1", x1), ("x2", x2), ("sum", x1 + x2), ("zero", 0 * x1)):
-            out[name] = forward.forward_sample(sys, coeffs, x, np.random.default_rng(7))
+            out[name] = forward.forward_sample(sys, coeffs, x, noise)
         np.testing.assert_allclose(
             out["x1"] + out["x2"] - out["zero"], out["sum"], atol=1e-12
         )
@@ -102,14 +102,12 @@ class TestFusedUpdate:
         x0 = rng.standard_normal((6, 4))
         for variant in ("sb", "vp", "ve"):
             coeffs = schedule.evaluate(schedule.ScheduleSpec(variant), 0.3)
-            out = forward.forward_sample(sys, coeffs, x0, np.random.default_rng(5))
-            draws = np.random.default_rng(5)
-            eps = draws.standard_normal((6, 2))
-            eps_null = draws.standard_normal((6, 4))
+            noise = linop.draw_noise(sys, np.random.default_rng(5), x0.shape)
+            out = forward.forward_sample(sys, coeffs, x0, noise)
             expected = (
                 oracle.mean_apply(sys, coeffs, x0)
-                + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(eps))
-                + np.sqrt(coeffs.beta) * linop.project_null(sys, eps_null)
+                + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(noise.eps))
+                + np.sqrt(coeffs.beta) * linop.project_null(sys, noise.z)
             )
             np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -117,16 +115,13 @@ class TestFusedUpdate:
         sys, rng = self.system(12)
         x0 = rng.standard_normal((6, 4))
         spec = schedule.ScheduleSpec("sb")
-        out = forward.simulate_forward_sde(
-            sys, spec, x0, 1, np.random.default_rng(6), exact_start=False
-        )
         dt = spec.t_max - spec.t_min
-        dd = drift_diffusion(sys, schedule.evaluate(spec, spec.t_min))
-        draws = np.random.default_rng(6)
-        eps = draws.standard_normal((6, 2))
-        eps_null = draws.standard_normal((6, 4))
+        coeffs = schedule.evaluate(spec, spec.t_min)
+        noise = linop.draw_noise(sys, np.random.default_rng(6), x0.shape)
+        out = forward.sde_step(sys, coeffs, dt, x0, noise)
+        dd = drift_diffusion(sys, coeffs)
         expected = x0 + dt * dd.apply_F(x0) + np.sqrt(dt) * (
-            dd.apply_GGT_half_range(eps) + dd.apply_GGT_half_null(eps_null)
+            dd.apply_GGT_half_range(noise.eps) + dd.apply_GGT_half_null(noise.z)
         )
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -137,16 +132,19 @@ class TestOperatorCalls:
     def test_forward_sample(self, counting):
         sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.4)
-        forward.forward_sample(sys, coeffs, np.ones((5, 3)), np.random.default_rng(0))
+        noise = linop.draw_noise(sys, np.random.default_rng(0), (5, 3))
+        forward.forward_sample(sys, coeffs, np.ones((5, 3)), noise)
         assert calls == {"apply": 1, "apply_pinv": 1}
 
     def test_forward_sde_step(self, counting):
         sys, calls = counting(mask_system(sigma=0.5))
         spec = schedule.ScheduleSpec("vp")
-        forward.simulate_forward_sde(
-            sys, spec, np.ones((5, 2)), 6, np.random.default_rng(0), exact_start=False
-        )
-        assert calls == {"apply": 6, "apply_pinv": 6}
+        noise = linop.draw_noise(sys, np.random.default_rng(0), (5, 2))
+        forward.sde_step(sys, schedule.evaluate(spec, 0.3), 0.01, np.ones((5, 2)), noise)
+        assert calls == {"apply": 1, "apply_pinv": 1}
+        # six steps after the exact start: one forward draw and six steps
+        forward.simulate_forward_sde(sys, spec, np.ones((5, 2)), 6, np.random.default_rng(0))
+        assert calls == {"apply": 1 + 7, "apply_pinv": 1 + 7}
 
 
 class TestAnalyticMarginal:
@@ -228,9 +226,10 @@ class TestSimulator:
         sys = mask_system()
         spec = schedule.ScheduleSpec("ve")  # dlog_alpha = 0: drift-free
         x0 = np.array([1.0, 2.0])
-        xs = forward.simulate_forward_sde(
-            sys, spec, np.broadcast_to(x0, (20_000, 2)).copy(), 1,
-            np.random.default_rng(0), exact_start=False,
+        noise = linop.draw_noise(sys, np.random.default_rng(0), (20_000, 2))
+        xs = forward.sde_step(
+            sys, schedule.evaluate(spec, spec.t_min), spec.t_max - spec.t_min,
+            np.broadcast_to(x0, (20_000, 2)), noise,
         )
         np.testing.assert_allclose(xs.mean(axis=0), x0, atol=0.05 * 10)
 
@@ -278,8 +277,8 @@ class TestSimulator:
     def test_range_null_cross_independence(self):
         sys = mask_system(sigma=1.0)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        rng = np.random.default_rng(4)
-        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 2)), rng)
+        noise = linop.draw_noise(sys, np.random.default_rng(4), (100_000, 2))
+        xs = forward.forward_sample(sys, coeffs, np.zeros((100_000, 2)), noise)
         r = xs[:, 0]
         n = xs[:, 1]
         cross = np.mean(r * n) - r.mean() * n.mean()

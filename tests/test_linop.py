@@ -1,4 +1,4 @@
-"""Measurement-system algebra: pseudoinverse, projections."""
+"""Measurement-system algebra: pseudoinverse, projections, update draws."""
 
 import dataclasses
 import functools
@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sysbridge import linop
+from sysbridge import linop, tasks
 from sysbridge.errors import DimensionError, NumericalError
 
 
@@ -173,3 +173,34 @@ class TestNoiseFactor:
             return sys.noise_scale(eps)
 
         assert dataclasses.replace(sys, noise_scale=wrapped).noise_scale is wrapped
+
+
+# system kind -> (system, whether its updates draw eps in measurement space)
+DRAW_KINDS = {
+    "mask_noiseless": (lambda: tasks.build_system(tasks.TaskSpec("inpainting", image_side=4, seed=1)), False),
+    "superres_noiseless": (lambda: tasks.build_system(tasks.TaskSpec("superres", image_side=4, factor=2)), False),
+    "mri_partial_isometry": (lambda: tasks.build_system(tasks.TaskSpec("mri", image_side=4, sigma2_sq=0.5, seed=2)), False),
+    "dense_one_row": (lambda: linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2), False),
+    "ct_truncated_svd": (lambda: tasks.build_system(tasks.TaskSpec("ct", image_side=4, latent_dim=6, seed=3)), True),
+    "dense_scalar_noise": (lambda: random_system(4, sigma=0.3), True),
+    "dense_matrix_noise": (lambda: random_system(5, sigma=np.diag([0.1, 0.2, 0.3])), True),
+}
+
+
+class TestDrawNoise:
+    @pytest.mark.parametrize("batch", [(3,), ()])
+    @pytest.mark.parametrize("kind", sorted(DRAW_KINDS))
+    def test_draw_order(self, kind, batch):
+        # eps first, and only on noisy systems without a range-noise gain;
+        # then z; nothing else is taken from the generator
+        build, takes_eps = DRAW_KINDS[kind]
+        sys = build()
+        rng = np.random.default_rng(17)
+        noise = linop.draw_noise(sys, rng, batch + (sys.d,))
+        replay = np.random.default_rng(17)
+        if takes_eps:
+            assert noise.eps.tobytes() == replay.standard_normal(batch + (sys.m,)).tobytes()
+        else:
+            assert noise.eps is None
+        assert noise.z.tobytes() == replay.standard_normal(batch + (sys.d,)).tobytes()
+        assert rng.standard_normal() == replay.standard_normal()

@@ -123,7 +123,7 @@ class TestOracleDenoiser:
         den = oracle.oracle_denoiser(prior, sys, spec)
         rng = np.random.default_rng(5)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=100_000)
-        xt = forward.forward_sample(sys, coeffs, x0, rng)
+        xt = forward.forward_sample(sys, coeffs, x0, linop.draw_noise(sys, rng, x0.shape))
         # bin on the null coordinate and compare conditional means
         z = xt[:, 1]
         for lo, hi in ((0.4, 0.6), (-1.1, -0.9)):
@@ -156,7 +156,7 @@ class TestOracleDenoiser:
         den = oracle.oracle_denoiser(prior, sys, spec)
         rng = np.random.default_rng(10)
         x0 = rng.multivariate_normal(prior.mean, prior.cov, size=200_000)
-        xt = forward.forward_sample(sys, coeffs, x0, rng)
+        xt = forward.forward_sample(sys, coeffs, x0, linop.draw_noise(sys, rng, x0.shape))
         avg = den(xt, 0.4).mean(axis=0)
         se = np.sqrt(np.diag(prior.cov) / len(x0))
         assert np.all(np.abs(avg - prior.mean) < 4 * se + 1e-3)

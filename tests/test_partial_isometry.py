@@ -4,8 +4,8 @@ On a system whose nonzero singular values are all equal, A+ A+^T = kappa A+ A.
 With scalar noise s I the range noise A+ S e then has the law of
 s sqrt(kappa) A+ A z, so a reverse step and a forward draw take it from the
 range part of their one signal-space draw z.  These tests check kappa on
-materialized operators and the noise law of each update exactly, by feeding
-the identity as the draw and reading off the noise map.
+materialized operators and the noise law of each update exactly, by passing
+the identity as the draw z and reading off the noise map.
 """
 
 import dataclasses
@@ -92,29 +92,9 @@ class TestKappa:
         assert noiseless.kappa == 1.0 and noiseless.range_noise_gain is None
 
 
-class IdentityDraws:
-    """Stand-in generator whose one allowed draw is the d x d identity."""
-
-    def __init__(self, d):
-        self.d = d
-        self.calls = 0
-
-    def standard_normal(self, shape):
-        self.calls += 1
-        assert tuple(shape) == (self.d, self.d), f"unexpected draw of shape {shape}"
-        return np.eye(self.d)
-
-
-def noise_map(update, d):
-    """N with output = N z, read off by drawing z = I for a zero input."""
-    draws = IdentityDraws(d)
-    out = update(draws)
-    assert draws.calls == 1
-    return out.T
-
-
 def assert_gram(n, expected):
-    """N N^T equals the expected covariance to 1e-12 of its scale."""
+    """For the noise map N of an update, its output on zero input with z = I
+    transposed: N N^T equals the expected covariance to 1e-12 of its scale."""
     scale = max(1.0, float(np.max(np.abs(expected))))
     np.testing.assert_allclose(n @ n.T, expected, rtol=0, atol=1e-12 * scale)
 
@@ -155,10 +135,8 @@ class TestSingleDrawLaw:
         assert sys.range_noise_gain is not None
         d = sys.d
         zeros = np.zeros((d, d))
-        n = noise_map(
-            lambda rng: sampler.reverse_step(sys, sampler.plan_step(coeffs, dt), zeros, zeros, rng),
-            d,
-        )
+        step = sampler.plan_step(coeffs, dt)
+        n = sampler.reverse_step(sys, step, zeros, zeros, linop.Noise(np.eye(d))).T
         assert_gram(n, dt * diffusion_gram(sys, coeffs))
 
     @settings(max_examples=60, deadline=None)
@@ -166,7 +144,7 @@ class TestSingleDrawLaw:
     def test_forward_sample_noise_covariance(self, case):
         sys, coeffs, _ = case
         d = sys.d
-        n = noise_map(lambda rng: forward.forward_sample(sys, coeffs, np.zeros((d, d)), rng), d)
+        n = forward.forward_sample(sys, coeffs, np.zeros((d, d)), linop.Noise(np.eye(d))).T
         assert_gram(n, oracle.covariance_matrix(sys, coeffs))
 
     @settings(max_examples=30, deadline=None)
@@ -175,20 +153,16 @@ class TestSingleDrawLaw:
         sys, _, _ = case
         d = sys.d
         spec = schedule.ScheduleSpec("vp")
-        n = noise_map(
-            lambda rng: forward.simulate_forward_sde(
-                sys, spec, np.zeros((d, d)), 1, rng, exact_start=False
-            ),
-            d,
-        )
         dt = spec.t_max - spec.t_min
-        gram = dt * diffusion_gram(sys, schedule.evaluate(spec, spec.t_min))
+        coeffs = schedule.evaluate(spec, spec.t_min)
+        n = forward.sde_step(sys, coeffs, dt, np.zeros((d, d)), linop.Noise(np.eye(d))).T
+        gram = dt * diffusion_gram(sys, coeffs)
         assert_gram(n, gram)
 
     def test_noiseless_forward_draws_once(self):
         sys = tasks.build_system(tasks.TaskSpec("inpainting", image_side=3, mask_fraction=0.5))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.4)
-        n = noise_map(lambda rng: forward.forward_sample(sys, coeffs, np.zeros((9, 9)), rng), 9)
+        n = forward.forward_sample(sys, coeffs, np.zeros((9, 9)), linop.Noise(np.eye(9))).T
         assert_gram(n, oracle.covariance_matrix(sys, coeffs))
 
     def test_locked_range_left_unchanged(self):
@@ -199,7 +173,7 @@ class TestSingleDrawLaw:
         before = locked.copy()
         sampler.reverse_step(
             sys, sampler.plan_step(coeffs, 0.01), np.ones((3, 4)), np.zeros((3, 4)),
-            np.random.default_rng(0), locked,
+            linop.draw_noise(sys, np.random.default_rng(0), (3, 4)), locked,
         )
         assert locked.tobytes() == before.tobytes()
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sysbridge import denoiser as dn
-from sysbridge import linop, oracle, sampler, schedule
+from sysbridge import forward, linop, oracle, sampler, schedule, tasks
 from sysbridge.verification import posterior_problem
 from sysbridge.errors import DimensionError, DivergenceError
 
@@ -20,16 +20,15 @@ class TestInitialize:
         sys = linop.identity_system(3)
         spec = schedule.ScheduleSpec("vp")
         y = np.array([1.0, -2.0, 0.3])
-        x = sampler.initialize(sys, spec, y, np.random.default_rng(0))
+        x = sampler.initialize(sys, spec, y, np.random.default_rng(0).standard_normal(3))
         np.testing.assert_allclose(x, y, atol=1e-12)
 
     def test_mask_null_noise_scale(self):
         sys = mask_system()
         spec = schedule.ScheduleSpec("vp")
         beta = schedule.evaluate(spec, spec.t_max).beta
-        rng = np.random.default_rng(1)
         ys = np.full((100_000, 1), 3.0)
-        x = sampler.initialize(sys, spec, ys, rng)
+        x = sampler.initialize(sys, spec, ys, np.random.default_rng(1).standard_normal((100_000, 2)))
         np.testing.assert_allclose(x[:, 0], 3.0, atol=1e-12)
         assert x[:, 1].mean() == pytest.approx(0.0, abs=0.02)
         assert x[:, 1].var() == pytest.approx(beta, rel=0.03)
@@ -37,16 +36,15 @@ class TestInitialize:
     def test_ve_noise_scale(self):
         sys = mask_system()
         spec = schedule.ScheduleSpec("ve", sigma_max=10.0)
-        rng = np.random.default_rng(2)
         ys = np.zeros((50_000, 1))
-        x = sampler.initialize(sys, spec, ys, rng)
+        x = sampler.initialize(sys, spec, ys, np.random.default_rng(2).standard_normal((50_000, 2)))
         expected_std = np.sqrt(10.0) * (1.0 - spec.eps1) ** 0.25
         assert x[:, 1].std() == pytest.approx(expected_std, rel=0.03)
 
     def test_dimension_mismatch(self):
         sys = mask_system()
         with pytest.raises(DimensionError):
-            sampler.initialize(sys, schedule.ScheduleSpec("vp"), np.zeros(2), np.random.default_rng(0))
+            sampler.initialize(sys, schedule.ScheduleSpec("vp"), np.zeros(2), np.zeros(2))
 
 
 class TestReverseStep:
@@ -55,8 +53,8 @@ class TestReverseStep:
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([1.0, 2.0])
         out = sampler.reverse_step(
-            sys, sampler.plan_step(coeffs, 0.0), x, np.zeros(2), np.random.default_rng(0),
-            np.array([1.0, 0.0]),
+            sys, sampler.plan_step(coeffs, 0.0), x, np.zeros(2),
+            linop.draw_noise(sys, np.random.default_rng(0), x.shape), np.array([1.0, 0.0]),
         )
         np.testing.assert_allclose(out, x)
 
@@ -66,7 +64,7 @@ class TestReverseStep:
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([0.4, -1.2])
         step = sampler.plan_step(coeffs, 0.01)
-        out = sampler.reverse_step(sys, step, x, x.copy(), np.random.default_rng(0), x.copy())
+        out = sampler.reverse_step(sys, step, x, x.copy(), linop.Noise(np.zeros(2)), x.copy())
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_noiseless_step_needs_locked_range(self):
@@ -74,7 +72,7 @@ class TestReverseStep:
         with pytest.raises(ValueError, match="locked_range"):
             sampler.reverse_step(
                 mask_system(), sampler.plan_step(coeffs, 0.01), np.ones(2), np.zeros(2),
-                np.random.default_rng(0),
+                linop.Noise(np.zeros(2)),
             )
 
     def test_matches_dense_transcription(self):
@@ -87,9 +85,9 @@ class TestReverseStep:
         coeffs = schedule.evaluate(spec, t)
         x = np.array([0.8, -0.6])
         denoised = np.array([0.5, 0.25])
-        seed = 31
         step = sampler.plan_step(coeffs, dt)
-        out = sampler.reverse_step(sys, step, x.copy(), denoised, np.random.default_rng(seed))
+        z = np.random.default_rng(31).standard_normal(2)
+        out = sampler.reverse_step(sys, step, x.copy(), denoised, linop.Noise(z))
 
         a = np.array([[1.0, 0.0]])
         a_pinv = a.T
@@ -97,7 +95,6 @@ class TestReverseStep:
         nullp = np.eye(2) - proj
         h = proj + coeffs.alpha * nullp
         assert sys.kappa == 1.0
-        z = np.random.default_rng(seed).standard_normal(2)
         f_term = coeffs.f_range * proj + (coeffs.f_null - 2 * coeffs.dlog_alpha_dt) * nullp
         drift = f_term @ (h @ denoised - x) - coeffs.dlog_alpha_dt * (nullp @ x)
         noise = (
@@ -108,23 +105,20 @@ class TestReverseStep:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
-def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
+def transcribed_step(sys, coeffs, x, denoised, dt, draws, locked_range=None):
     """The reverse step written out term by term with separate projections.
 
-    A partial isometry with scalar noise s I draws once: its range noise is
-    s sqrt(kappa) times the range part of the null-noise draw."""
-    noisy = not sys.noise_is_zero
+    A partial isometry with scalar noise s I has no eps: its range noise is
+    s sqrt(kappa) times the range part of the null-noise draw z."""
     gain = sys.range_noise_gain
     drift = sampler.score_drift(sys, coeffs, x, denoised)
     drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
     noise = np.zeros_like(x)
-    if noisy and coeffs.dgamma_dt > 0 and gain is None:
-        eps = rng.standard_normal(x.shape[:-1] + (sys.m,))
-        noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(eps))
-    eps_null = rng.standard_normal(x.shape)
-    if gain is not None and coeffs.dgamma_dt > 0:
-        noise = noise + np.sqrt(coeffs.dgamma_dt) * gain * linop.project_range(sys, eps_null)
-    noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, eps_null)
+    if draws.eps is not None:
+        noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(draws.eps))
+    if gain is not None:
+        noise = noise + np.sqrt(coeffs.dgamma_dt) * gain * linop.project_range(sys, draws.z)
+    noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, draws.z)
     x_new = x + dt * drift + np.sqrt(dt) * noise
     if locked_range is not None:
         x_new = locked_range + linop.project_null(sys, x_new)
@@ -132,16 +126,14 @@ def transcribed_step(sys, coeffs, x, denoised, dt, rng, locked_range=None):
 
 
 class TestFusedStep:
-    """The fused update against its term-by-term transcription, same seed."""
+    """The fused update against its term-by-term transcription, same draws."""
 
     def check(self, sys, coeffs, x, denoised, dt, seed, locked_range=None):
+        draws = linop.draw_noise(sys, np.random.default_rng(seed), x.shape)
         out = sampler.reverse_step(
-            sys, sampler.plan_step(coeffs, dt), x.copy(), denoised, np.random.default_rng(seed),
-            locked_range,
+            sys, sampler.plan_step(coeffs, dt), x.copy(), denoised, draws, locked_range
         )
-        expected = transcribed_step(
-            sys, coeffs, x, denoised, dt, np.random.default_rng(seed), locked_range
-        )
+        expected = transcribed_step(sys, coeffs, x, denoised, dt, draws, locked_range)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
     def test_random_noisy_dense_systems(self):
@@ -181,7 +173,8 @@ class TestOperatorCalls:
         sys, calls = counting(linop.build_dense_system(np.ones((2, 3)), sigma_half=0.3))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
         step = sampler.plan_step(coeffs, 0.01)
-        sampler.reverse_step(sys, step, np.ones((4, 3)), np.zeros((4, 3)), np.random.default_rng(0))
+        noise = linop.draw_noise(sys, np.random.default_rng(0), (4, 3))
+        sampler.reverse_step(sys, step, np.ones((4, 3)), np.zeros((4, 3)), noise)
         assert calls == {"apply": 1, "apply_pinv": 1}
 
     def test_reverse_step_noiseless_with_lock(self, counting):
@@ -189,7 +182,7 @@ class TestOperatorCalls:
         coeffs = schedule.evaluate(schedule.ScheduleSpec("sb"), 0.5)
         sampler.reverse_step(
             sys, sampler.plan_step(coeffs, 0.01), np.ones((4, 2)), np.zeros((4, 2)),
-            np.random.default_rng(0), np.array([1.0, 0.0]),
+            linop.Noise(np.ones((4, 2))), np.array([1.0, 0.0]),
         )
         assert calls == {"apply": 1, "apply_pinv": 1}
 
@@ -201,12 +194,83 @@ class TestOperatorCalls:
         assert calls == {"apply": 1 + 7, "apply_pinv": 2 + 7}
 
 
+# one system per kind of update noise: noiseless with the range lock, a
+# noisy partial isometry (z only), a decaying spectrum and matrix noise (eps
+# and z)
+UPDATE_SYSTEMS = {
+    "mask_lock": lambda: tasks.build_system(tasks.TaskSpec("inpainting", image_side=4, seed=1)),
+    "mri": lambda: tasks.build_system(tasks.TaskSpec("mri", image_side=4, sigma2_sq=0.5, seed=2)),
+    "ct": lambda: tasks.build_system(tasks.TaskSpec("ct", image_side=4, latent_dim=6, seed=3)),
+    "dense_matrix_noise": lambda: linop.build_dense_system(
+        np.random.default_rng(23).standard_normal((3, 6)), sigma_half=np.diag([0.2, 0.5, 0.9])
+    ),
+}
+
+
+def _lock(sys, n):
+    """The range lock of n chains on a noiseless system, else None."""
+    if not sys.noise_is_zero:
+        return None
+    return linop.project_range(sys, np.random.default_rng(24).standard_normal((n, sys.d)))
+
+
+class TestDrawsAreValues:
+    @pytest.mark.parametrize("kind", sorted(UPDATE_SYSTEMS))
+    def test_no_update_writes_its_draws(self, kind):
+        sys = UPDATE_SYSTEMS[kind]()
+        spec = schedule.ScheduleSpec("sb")
+        coeffs = schedule.evaluate(spec, 0.4)
+        rng = np.random.default_rng(25)
+        x = rng.standard_normal((4, sys.d))
+        noise = linop.draw_noise(sys, rng, x.shape)
+        before = [a.copy() for a in noise if a is not None]
+        sampler.initialize(sys, spec, sys.apply(x), noise.z)
+        sampler.reverse_step(sys, sampler.plan_step(coeffs, 0.01), x, np.tanh(x), noise, _lock(sys, 4))
+        forward.forward_sample(sys, coeffs, x, noise)
+        forward.sde_step(sys, coeffs, 0.01, x, noise)
+        after = [a for a in noise if a is not None]
+        assert [a.tobytes() for a in after] == [a.tobytes() for a in before]
+
+
+class TestAffineReadOff:
+    """A reverse step is affine in its state, denoised estimate and draws:
+    out = F x + G d + L z (+ M eps) + c, each map read off from basis inputs.
+    The exact law of a chain with a Gaussian-prior denoiser rests on this."""
+
+    @pytest.mark.parametrize("kind", sorted(UPDATE_SYSTEMS))
+    @pytest.mark.parametrize("variant", schedule.VARIANTS)
+    def test_step_equals_its_read_off(self, variant, kind):
+        sys = UPDATE_SYSTEMS[kind]()
+        d, m = sys.d, sys.m
+        takes_eps = linop.draw_noise(sys, np.random.default_rng(0), (d,)).eps is not None
+        plan = sampler._step_plan(schedule.ScheduleSpec(variant), 20, "stiffness")
+        for step in (plan[0], plan[10], plan[-1]):
+
+            def step_of(x, den, z, eps):
+                noise = linop.Noise(z, eps if takes_eps else None)
+                return sampler.reverse_step(sys, step, x, den, noise, _lock(sys, 1))
+
+            zd, zm = np.zeros((d, d)), np.zeros((d, m))
+            c = step_of(np.zeros((1, d)), np.zeros((1, d)), np.zeros((1, d)), np.zeros((1, m)))
+            f = step_of(np.eye(d), zd, zd, zm) - c
+            g = step_of(zd, np.eye(d), zd, zm) - c
+            el = step_of(zd, zd, np.eye(d), zm) - c
+            rng = np.random.default_rng(26)
+            x, den, z = (rng.standard_normal((5, d)) for _ in range(3))
+            eps = rng.standard_normal((5, m))
+            expected = x @ f + den @ g + z @ el + c
+            if takes_eps:
+                zmd = np.zeros((m, d))
+                expected += eps @ (step_of(zmd, zmd, zmd, np.eye(m)) - c)
+            np.testing.assert_allclose(step_of(x, den, z, eps), expected, rtol=0, atol=1e-12)
+
+
 def per_step_sample(sys, config, y, denoiser):
     """`sampler.sample` without the step plan: the grid, the coefficients
     and each `Step` computed step by step.  Returns (final, [(x, t) kept])."""
     spec = config.spec
     rng = np.random.default_rng(config.seed)
-    x = sampler.initialize(sys, spec, y, rng)
+    x = sampler.initialize(sys, spec, y, rng.standard_normal(y.shape[:-1] + (sys.d,)))
     locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
     grid = sampler.time_grid(spec, config.n_steps, config.time_grid)
     kept = []
@@ -215,7 +279,8 @@ def per_step_sample(sys, config, y, denoiser):
         t = grid[k]
         dt = t - grid[k + 1]
         step = sampler.plan_step(schedule.evaluate(spec, t), dt)
-        x = sampler.reverse_step(sys, step, x, denoiser(x, t), rng, locked_range)
+        denoised = denoiser(x, t)
+        x = sampler.reverse_step(sys, step, x, denoised, linop.draw_noise(sys, rng, x.shape), locked_range)
         t_kept -= dt
         if config.keep_every and (k + 1) % config.keep_every == 0:
             kept.append((x.copy(), t_kept))
@@ -298,7 +363,7 @@ class TestStepPlan:
         plan = sampler._step_plan(schedule.ScheduleSpec(variant), 12, grid)
         for step in plan:
             assert type(step) is sampler.Step
-            assert all(type(v) is float for v in step if v is not None)
+            assert all(type(v) is float for v in step)
 
     @pytest.mark.parametrize("grid", sampler.TIME_GRIDS)
     @pytest.mark.parametrize("variant", schedule.VARIANTS)
@@ -325,11 +390,9 @@ class TestStepPlan:
                 dt * stiff * c.alpha,
                 1.0 - dt * (stiff + lam),
                 dt * c.f_range,
-                np.sqrt(dt * c.dgamma_dt) if c.dgamma_dt > 0 else None,
+                np.sqrt(dt * c.dgamma_dt),
             )
-            assert [None if v is None else float.hex(float(v)) for v in step] == [
-                None if v is None else float.hex(float(v)) for v in expected
-            ]
+            assert [float.hex(float(v)) for v in step] == [float.hex(float(v)) for v in expected]
 
     def test_thousand_step_plan_holds_under_0_3_mb(self):
         tracemalloc.start()
