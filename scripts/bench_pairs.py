@@ -3,13 +3,17 @@
 
     python3 scripts/bench_pairs.py --workload sample-mri --seed 501 --parent HEAD
 
-The parent revision is checked out into a temporary git worktree under
-``.bench_build/`` and removed afterwards; the change is this checkout's
-working tree.  There are 10 pairs of 30 s runs, the benchmark's run
-length.  Pair i runs ``perfbench/run.py --seed <seed + i>`` once on each
-side, the parent first on even pairs and the change first on odd ones, one
-run at a time.  The output keeps every run's result line and its
-``{"perfbench": ...}`` record (machine, BLAS, commit, output digest), the
+Both sides run from plain copies in temporary sibling directories under
+``.bench_build/``, removed afterwards: the parent from the files of its
+revision (``git archive``), the change from this checkout's working tree,
+its tracked and untracked files that git does not ignore (``git ls-files
+--cached --others --exclude-standard``), uncommitted edits included.  A side
+run from a git worktree or from the checkout itself read 1.4-3 % apart from
+a copy of the same code on train-mixture.  There are 10 pairs of 30 s runs, the
+benchmark's run length.  Pair i runs ``perfbench/run.py --seed <seed + i>``
+once on each side, the parent first on even pairs and the change first on
+odd ones, one run at a time.  The output keeps every run's result line and
+its ``{"perfbench": ...}`` record (machine, BLAS, commit, output digest), the
 median and quartiles of each end-to-end metric per side, in how many
 pairs the change was lower, and a verdict per end-to-end metric of
 ``BENCHMARK.json``, judged against that metric's ``bound`` in its
@@ -60,6 +64,25 @@ def run_perfbench(checkout: Path, workload: str, seed: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"perfbench failed in {checkout} (exit {proc.returncode}):\n{proc.stderr}")
     return {"perfbench": json.loads(lines[-2])["perfbench"], "result": json.loads(lines[-1])}
+
+
+def copy_revision(rev: str, dest: Path) -> Path:
+    """Extract the files of git revision ``rev`` into ``dest``; returns ``dest``."""
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True, capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    return dest
+
+
+def copy_working_tree(dest: Path) -> Path:
+    """Copy this checkout's tracked and untracked, non-ignored files, as they
+    are in the working tree, into ``dest``; returns ``dest``."""
+    names = git("ls-files", "-z", "--cached", "--others", "--exclude-standard", cwd=ROOT)
+    for name in filter(None, names.split("\0")):
+        source = ROOT / name
+        if source.is_file():  # not a tracked file deleted from the working tree
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+    return dest
 
 
 def src_lines(checkout: Path) -> dict:
@@ -132,15 +155,15 @@ def compare(parent_runs, change_runs):
     return parent, change, out
 
 
-def record_pairs(workload: str, seed: int, parent_rev: str, tree: Path) -> dict:
-    """The record of PAIRS alternating runs: the parent checked out at ``tree``
-    against this checkout."""
-    lines = {"parent": src_lines(tree), "change": src_lines(ROOT)}
+def record_pairs(workload: str, seed: int, parent_rev: str, checkouts: dict) -> dict:
+    """The record of PAIRS alternating runs of the ``checkouts`` of each side,
+    {"parent": path, "change": path}."""
+    lines = {side: src_lines(checkouts[side]) for side in ("parent", "change")}
     runs = {"parent": [], "change": []}
     for i in range(PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            run = run_perfbench(tree if side == "parent" else ROOT, workload, seed + i)
+            run = run_perfbench(checkouts[side], workload, seed + i)
             runs[side].append({"pair": i, "seed": seed + i, "order": order.index(side), **run})
             value = run["result"]["metrics"]["time_vs_control"]["value"]
             print(f"pair {i} seed {seed + i} {side}: time_vs_control {value:.4f}", file=sys.stderr)
@@ -171,13 +194,15 @@ def main(argv=None) -> int:
     parent_rev = git("rev-parse", args.parent)
     scratch = ROOT / ".bench_build"
     scratch.mkdir(exist_ok=True)
-    tree = Path(tempfile.mkdtemp(prefix="parent-", dir=scratch))
-    git("worktree", "add", "--detach", str(tree), parent_rev)
+    parent = Path(tempfile.mkdtemp(prefix="parent-", dir=scratch))
+    change = Path(tempfile.mkdtemp(prefix="change-", dir=scratch))
     try:
-        record = record_pairs(args.workload, args.seed, parent_rev, tree)
+        record = record_pairs(args.workload, args.seed, parent_rev, {
+            "parent": copy_revision(parent_rev, parent), "change": copy_working_tree(change),
+        })
     finally:
-        git("worktree", "remove", "--force", str(tree))
-        shutil.rmtree(tree, ignore_errors=True)
+        shutil.rmtree(parent, ignore_errors=True)
+        shutil.rmtree(change, ignore_errors=True)
 
     out = Path(args.output) if args.output else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -3,10 +3,12 @@
 Subcommands: train, sample, verify, misspec.  The system, data and prior
 of a run come from its `tasks.TaskSpec`; this module only orchestrates.
 Exit codes: 0 success, 1 runtime or numeric failure, 2 usage or config
-error, which includes a task too large for dense algebra and an array too
-large to allocate.  All outputs are byte-reproducible given the same config
-and seeds, at any `--threads`: `--oracle-denoiser` runs on one BLAS thread.
-Timestamps appear only in the sidecar run.log.
+error, which includes a task too large for dense algebra, an array too
+large to allocate and an unusable ``--output``: a file, a path under a
+file, or a path whose parent does not exist.  All outputs are
+byte-reproducible given the same config and seeds, at any `--threads`:
+`--oracle-denoiser` runs on one BLAS thread.  Timestamps appear only in the
+sidecar run.log.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def _write_csv(path, header, rows):
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -76,7 +80,10 @@ def _prepare_output_dir(path) -> Path:
     out = Path(path)
     if not out.parent.exists():
         raise ConfigError(f"output directory parent does not exist: {out.parent}")
-    out.mkdir(exist_ok=True)
+    try:
+        out.mkdir(exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise ConfigError(f"cannot use output directory {out}: {exc}") from exc
     return out
 
 
@@ -96,7 +103,7 @@ def _metric_row(cfg, perturbation, psnr_val, ssim_val, n_samples, seed):
         cfg.schedule.variant,
         perturbation,
         _fmt(psnr_val),
-        "" if ssim_val is None else _fmt(ssim_val),
+        _fmt(ssim_val),
         n_samples,
         seed,
     ]
@@ -105,11 +112,15 @@ def _metric_row(cfg, perturbation, psnr_val, ssim_val, n_samples, seed):
 _METRIC_HEADER = ["run_id", "task", "variant", "perturbation", "psnr", "ssim", "n_samples", "seed"]
 
 
-def _maybe_ssim(cfg, x, ref):
+def _scores(cfg, samples, truth):
+    """(psnrs, ssims): each draw's PSNR against its truth, and its SSIM (of
+    the draw clipped to [0, 1]) where the draws are images of side >= 8,
+    else None."""
+    psnrs = [tasks.psnr(x, ref) for x, ref in zip(samples, truth)]
     side = cfg.task.image_side
-    if side * side != x.shape[-1] or side < 8:
-        return None
-    return tasks.ssim(np.clip(x, 0.0, 1.0), ref)
+    if side * side != samples.shape[-1] or side < 8:
+        return psnrs, None
+    return psnrs, [tasks.ssim(np.clip(x, 0.0, 1.0), ref) for x, ref in zip(samples, truth)]
 
 
 def cmd_train(args) -> int:
@@ -190,7 +201,7 @@ def cmd_sample(args) -> int:
     _snapshot(cfg, out)
     _log(out, "sample start")
 
-    sys_ = tasks.build_system(cfg.task)
+    sys_, measure = tasks.deploy(cfg.task)
     spec = cfg.schedule
 
     if args.oracle_denoiser:
@@ -207,22 +218,17 @@ def cmd_sample(args) -> int:
     x_truth = None
     if args.simulate:
         x_truth = tasks.make_dataset(cfg.task, cfg.sample.n_samples, cfg.sample.seed + 1)
-        clean = sys_.apply(x_truth)
-        y = clean + sys_.noise_scale(rng.standard_normal(clean.shape))
+        y = measure(x_truth, rng)
         if args.oracle_denoiser:
             # posterior diagnostics sample many chains for a single measurement
-            x_truth, y = x_truth[:1], y[:1]
+            x_truth, y = x_truth[:1], np.repeat(y[:1], cfg.sample.n_samples, axis=0)
     elif args.measurements:
         y = _load_measurements(args.measurements, sys_.m)
     else:
         raise ConfigError("sample requires --simulate or --measurements PATH")
 
-    n_chains = cfg.sample.n_samples if (args.oracle_denoiser and args.simulate) else 1
-    if n_chains > 1:
-        trace = sampler.sample(sys_, cfg.sample, y[0], denoise, n_chains=n_chains, rng=rng)
-    else:
-        trace = sampler.sample(sys_, cfg.sample, y, denoise, rng=rng)
-    samples = np.atleast_2d(trace.final)
+    trace = sampler.sample(sys_, cfg.sample, y, denoise, rng=rng)
+    samples = trace.final
 
     tensorio.save_tensor(out / "samples.sdbt", samples)
     if trace.states is not None:
@@ -230,17 +236,10 @@ def cmd_sample(args) -> int:
 
     rows = []
     if x_truth is not None and not args.oracle_denoiser:
-        for i in range(samples.shape[0]):
-            rows.append(
-                _metric_row(
-                    cfg,
-                    "none",
-                    tasks.psnr(samples[i], x_truth[i]),
-                    _maybe_ssim(cfg, samples[i], x_truth[i]),
-                    1,
-                    cfg.sample.seed,
-                )
-            )
+        psnrs, ssims = _scores(cfg, samples, x_truth)
+        for i, psnr_val in enumerate(psnrs):
+            ssim_val = None if ssims is None else ssims[i]
+            rows.append(_metric_row(cfg, "none", psnr_val, ssim_val, 1, cfg.sample.seed))
     _write_csv(out / "metrics.csv", _METRIC_HEADER, rows)
 
     if args.oracle_denoiser and args.simulate:
@@ -300,49 +299,32 @@ def cmd_misspec(args) -> int:
 
     if not args.checkpoint:
         raise ConfigError("misspec requires --checkpoint")
-    if values and param not in tasks.SWEEP_PARAMS:
-        raise ConfigError(f"unknown sweep parameter {param!r}, expected one of {tasks.SWEEP_PARAMS}")
+    if values and not param:
+        raise ConfigError("--values need a sweep parameter: set [eval] param or --param")
     if cfg.task.task not in tasks.TASKS:
         raise ConfigError(f"task {cfg.task.task!r} is not one of the image tasks {tasks.TASKS}")
     try:
-        deployments = [
-            tasks.perturb_system(cfg.task, tasks.Perturbation(**{param: value}))
-            for value in values
-        ]
+        deployments = [tasks.deploy(cfg.task, param, value) for value in values]
     except ValueError as exc:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc
     train_sys = tasks.build_system(cfg.task)
     denoise = _checkpoint_denoiser(args.checkpoint, cfg, train_sys.d)
+    x0 = tasks.make_dataset(cfg.task, cfg.eval.n_draws, cfg.eval.seed + 1)
     rows, summary = [], []
-    for value, (deployed, generate) in zip(values, deployments):
+    for value, (deployed, measure) in zip(values, deployments):
         rng = np.random.default_rng(cfg.eval.seed)
-        x0 = tasks.make_dataset(cfg.task, cfg.eval.n_draws, cfg.eval.seed + 1)
-        y_deploy = generate(x0, rng)
         # deployment reconstruction, then re-measured through the embedded
         # training-time system: the checkpoint never sees the perturbed one
-        recon = deployed.apply_pinv(y_deploy)
+        recon = deployed.apply_pinv(measure(x0, rng))
         y_embedded = train_sys.apply(recon)
-        samples = np.atleast_2d(sampler.sample(train_sys, cfg.sample, y_embedded, denoise, rng=rng).final)
-        psnrs = np.array([tasks.psnr(samples[i], x0[i]) for i in range(len(x0))])
-        ssims = [
-            _maybe_ssim(cfg, samples[i], x0[i]) for i in range(len(x0))
-        ]
-        have_ssim = all(s is not None for s in ssims)
-        mean_ssim = float(np.mean(ssims)) if have_ssim else None
+        samples = sampler.sample(train_sys, cfg.sample, y_embedded, denoise, rng=rng).final
+        scores = _scores(cfg, samples, x0)
+        means = [None if v is None else float(np.mean(v)) for v in scores]
+        # a spread needs two draws
+        sds = [None if v is None or len(v) < 2 else float(np.std(v, ddof=1)) for v in scores]
         label = f"{param}={value:g}"
-        rows.append(
-            _metric_row(cfg, label, float(psnrs.mean()), mean_ssim, len(x0), cfg.eval.seed)
-        )
-        summary.append(
-            [
-                label,
-                _fmt(float(psnrs.mean())),
-                _fmt(float(psnrs.std(ddof=1))) if len(psnrs) > 1 else "",
-                "" if mean_ssim is None else _fmt(mean_ssim),
-                "" if not have_ssim else _fmt(float(np.std([s for s in ssims], ddof=1))),
-                len(x0),
-            ]
-        )
+        rows.append(_metric_row(cfg, label, *means, len(x0), cfg.eval.seed))
+        summary.append([label, _fmt(means[0]), _fmt(sds[0]), _fmt(means[1]), _fmt(sds[1]), len(x0)])
     _write_csv(out / "metrics.csv", _METRIC_HEADER, rows)
     _write_csv(
         out / "misspec_summary.csv",

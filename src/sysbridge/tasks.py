@@ -1,4 +1,4 @@
-"""Tasks: measurement systems, the data they measure, perturbations, metrics.
+"""Tasks: measurement systems, the data they measure, deployments, metrics.
 
 A `TaskSpec` is one task, the ``[task]`` section of an experiment config:
 which measurement system, and which dataset it measures.  `build_system`,
@@ -27,13 +27,16 @@ and two over vectors of width signal_dim:
                (the first dataset draw, noiseless); per-measurement
                re-linearization is available through `nonlinear`.
 
-`perturb_system` rebuilds the deployment-time system with modified
-parameters and returns a measurement generator, while any trained model
-keeps its training-time system embedded; this is the misspecification
-protocol.  Poisson measurement noise is available for ct as an
-evaluation-only generator and is never embedded: it draws photon counts
-N ~ Poisson(I0 exp(-A x)) and returns the line integrals -log(max(N, 1) / I0),
-which are in the units of A x like every other generator's measurements.
+`deploy(spec, param, value)` is the misspecification protocol's
+deployment: the system built with one sweep parameter changed, and the one
+measurement law that draws from it, while any trained model keeps its
+training-time system embedded.  `SWEEPS` maps each sweep parameter to the
+`TaskSpec` field it sets on each task that takes it: ``lambda1`` sets mri's
+`lambda1_pct`, ``tau`` ct's `tau`, ``noise_var`` ct's `sigma1_sq` and mri's
+`sigma2_sq`.  ``poisson_i0`` (ct only) sets no field: its measurements are
+photon counts N ~ Poisson(I0 exp(-A x)) returned as the line integrals
+-log(max(N, 1) / I0), in the units of A x like the Gaussian ones.  Poisson
+noise is evaluation-only and never embedded.
 """
 
 from __future__ import annotations
@@ -344,73 +347,58 @@ def _mri_system(spec: TaskSpec) -> LinearSystem:
     )
 
 
-@dataclass(frozen=True)
-class Perturbation:
-    """Deployment-time parameter shifts for the misspecification protocol.
+# the TaskSpec field each sweep parameter sets, per task that takes it;
+# poisson_i0 sets none: it swaps the Gaussian noise law for the counts of a
+# transmission model, I0 exp(-A x), so A x must be line integrals (ct)
+SWEEPS = {
+    "lambda1": {"mri": "lambda1_pct"},
+    "tau": {"ct": "tau"},
+    "noise_var": {"ct": "sigma1_sq", "mri": "sigma2_sq"},
+    "poisson_i0": {"ct": None},
+}
+SWEEP_PARAMS = tuple(SWEEPS)
 
-    Each field is one sweep parameter; a set ``poisson_i0`` (photon count
-    at zero attenuation) switches the generator to Poisson noise.
+
+def deploy(spec: TaskSpec, param: str = "", value: float = 0.0):
+    """(system, measure): the system deployed for ``spec`` with the sweep
+    parameter ``param`` (none when empty) set to ``value``, and
+    ``measure(x0, rng)``, which draws measurements of x0 from it.
+
+    ``measure`` draws ``A x0 + S e`` with e standard normal, or, for
+    ``poisson_i0``, photon counts N ~ Poisson(I0 exp(-A x0)) returned as the
+    line integrals -log(max(N, 1) / I0).  A parameter off its task, a
+    non-finite value and ``poisson_i0 <= 0`` are refused with ValueError.
     """
-
-    lambda1: Optional[float] = None
-    tau: Optional[float] = None
-    noise_var: Optional[float] = None
-    poisson_i0: Optional[float] = None
-
-    def __post_init__(self):
-        check_finite(self)
-        if self.poisson_i0 is not None and self.poisson_i0 <= 0:
+    system_spec = spec
+    if param:
+        fields = SWEEPS.get(param)
+        if fields is None:
+            raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMS}")
+        if spec.task not in fields:
+            raise ValueError(f"{param} perturbation applies to the {' or '.join(fields)} task only")
+        if not math.isfinite(value):
+            raise ValueError(f"{param} must be finite, got {value!r}")
+        if fields[spec.task] is not None:
+            system_spec = dataclasses.replace(spec, **{fields[spec.task]: value})
+        elif value <= 0:
             raise ValueError("poisson noise requires intensity > 0")
+    system = build_system(system_spec)
 
+    if param == "poisson_i0":
+        intensity = float(value)
 
-def perturb_system(spec: TaskSpec, pert: Perturbation):
-    """(deployment system, measurement generator) for a perturbed model.
-
-    The generator draws y from the perturbed forward model; callers sample
-    with their unchanged checkpoint and embedded training-time system.
-    """
-    deploy_spec = spec
-    if pert.lambda1 is not None:
-        if spec.task != "mri":
-            raise ValueError("lambda1 perturbation applies to the mri task only")
-        deploy_spec = dataclasses.replace(deploy_spec, lambda1_pct=pert.lambda1)
-    if pert.tau is not None:
-        if spec.task != "ct":
-            raise ValueError("tau perturbation applies to the ct task only")
-        deploy_spec = dataclasses.replace(deploy_spec, tau=pert.tau)
-    if pert.noise_var is not None:
-        if spec.task == "ct":
-            deploy_spec = dataclasses.replace(deploy_spec, sigma1_sq=pert.noise_var)
-        elif spec.task == "mri":
-            deploy_spec = dataclasses.replace(deploy_spec, sigma2_sq=pert.noise_var)
-        else:
-            raise ValueError("noise_var perturbation needs a noisy task (ct or mri)")
-
-    if pert.poisson_i0 is not None and spec.task != "ct":
-        # I0 exp(-A x) is a transmission model: A x must be line integrals
-        raise ValueError("poisson_i0 perturbation applies to the ct task only")
-
-    deployed = build_system(deploy_spec)
-
-    if pert.poisson_i0 is not None:
-        intensity = float(pert.poisson_i0)
-
-        def generate(x0, rng):
+        def measure(x0, rng):
             # photon counts, logged back to line integrals in the units of A x
-            counts = rng.poisson(intensity * np.exp(-deployed.apply(x0)))
+            counts = rng.poisson(intensity * np.exp(-system.apply(x0)))
             return -np.log(np.maximum(counts, 1) / intensity)
 
     else:
 
-        def generate(x0, rng):
-            clean = deployed.apply(x0)
-            eps = rng.standard_normal(clean.shape)
-            return clean + deployed.noise_scale(eps)
+        def measure(x0, rng):
+            clean = system.apply(x0)
+            return clean + system.noise_scale(rng.standard_normal(clean.shape))
 
-    return deployed, generate
-
-
-SWEEP_PARAMS = tuple(f.name for f in dataclasses.fields(Perturbation))
+    return system, measure
 
 
 # ---------------------------------------------------------------------------

@@ -106,8 +106,33 @@ def test_record_keeps_both_sides_source_lines(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "change")
     monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
     monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "")
-    record = bench_pairs.record_pairs("sample-mri", 40, "p0", tmp_path / "parent")
+    record = bench_pairs.record_pairs(
+        "sample-mri", 40, "p0", {side: tmp_path / side for side in ("parent", "change")})
     assert record["parent"]["src_lines"] == {"files": {"m.py": 3}, "total": 3}
     assert record["change"]["src_lines"] == {"files": {"m.py": 1}, "total": 1}
     assert calls[:4] == [("parent", 40), ("change", 40), ("change", 41), ("parent", 41)]
     assert record["comparison"]["time_vs_control"]["change_lower_pairs"] == bench_pairs.PAIRS
+
+
+def _files(root):
+    return {str(p.relative_to(root)): p.read_text() for p in root.rglob("*") if p.is_file()}
+
+
+def test_side_copies_hold_the_revision_and_the_working_tree(tmp_path, monkeypatch):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    git = ["git", "-c", "user.name=t", "-c", "user.email=t@example.invalid"]
+    subprocess.run([*git, "init", "-q", str(repo)], check=True)
+    (repo / ".gitignore").write_text("*.log\n")
+    (repo / "src" / "m.py").write_text("a = 1\n")
+    subprocess.run([*git, "add", "-A"], cwd=repo, check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "m"], cwd=repo, check=True)
+    (repo / "src" / "m.py").write_text("a = 2\n")        # an uncommitted edit
+    (repo / "src" / "new.py").write_text("b = 1\n")      # an untracked file
+    (repo / "src" / "run.log").write_text("ignored\n")   # an ignored file
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    (tmp_path / "parent").mkdir()
+    parent = bench_pairs.copy_revision("HEAD", tmp_path / "parent")
+    change = bench_pairs.copy_working_tree(tmp_path / "change")
+    assert _files(parent) == {".gitignore": "*.log\n", "src/m.py": "a = 1\n"}
+    assert _files(change) == {".gitignore": "*.log\n", "src/m.py": "a = 2\n", "src/new.py": "b = 1\n"}

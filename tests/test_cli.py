@@ -5,6 +5,7 @@ import dataclasses
 import io
 import re
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -117,6 +118,27 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    @pytest.mark.parametrize("command", ["train", "sample", "verify", "misspec"])
+    def test_output_that_is_no_directory_exit_2_with_one_line(self, tmp_path, capsys, command, where):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+        ckpt = tmp_path / "net.ckpt"
+        save_for(ckpt, dn.init_net(16, hidden=(8,), seed=0), cfg)
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file\n", encoding="utf-8")
+        output = blocker if where == "file" else blocker / "run"
+        argv = {
+            "train": ["train", "--config", str(cfg)],
+            "sample": ["sample", "--config", str(cfg), "--checkpoint", str(ckpt), "--simulate"],
+            "verify": ["verify", "otode"],
+            "misspec": ["misspec", "--config", str(cfg), "--checkpoint", str(ckpt)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([*argv, "--output", str(output)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert blocker.read_text(encoding="utf-8") == "a file\n"
+
     def test_missing_config_exit_2(self):
         assert cli.main(["train"]) == 2
 
@@ -217,10 +239,8 @@ NAN, INF = float("nan"), float("inf")
     lambda: ScheduleSpec("ve", sigma_max=NAN),
     lambda: dn.TrainConfig(lr=NAN),
     lambda: dn.TrainConfig(adam_beta1=NAN),
-    lambda: tasks.Perturbation(poisson_i0=NAN),
     lambda: EvalSection(values=(1.0, NAN)),
-], ids=["sigma2_sq", "tau", "gauss_mean", "b0", "sigma_max", "lr", "adam_beta1", "poisson_i0",
-        "eval_values"])
+], ids=["sigma2_sq", "tau", "gauss_mean", "b0", "sigma_max", "lr", "adam_beta1", "eval_values"])
 def test_section_constructors_refuse_non_finite_floats(build):
     # range checks such as `x < 0` let NaN through; every section refuses it
     with pytest.raises(ValueError, match="must be finite"):
@@ -509,6 +529,25 @@ class TestMisspec:
             assert code == 0
             rows = (dest / "misspec_summary.csv").read_text().strip().splitlines()[1:]
             assert [row.split(",")[0] for row in rows] == expected
+
+    def test_one_draw_leaves_both_spreads_empty(self, tmp_path):
+        # SSIM applies from side 8 on; one draw has no spread, and its
+        # standard deviation must not read nan (nor warn)
+        text = _override(_override(_override(MEMORIZE_INI, "task", task="mri", image_side=8),
+                                   "eval", n_draws=1), "sample", n_steps=2)
+        cfg, _ = write_config(tmp_path, text)
+        ckpt = tmp_path / "net.ckpt"
+        save_for(ckpt, dn.init_net(64, hidden=(8,)), cfg)
+        dest = tmp_path / "mis"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["misspec", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--output", str(dest), "--param", "noise_var", "--values", "0.1"])
+        assert code == 0
+        rows = (dest / "misspec_summary.csv").read_text().strip().splitlines()
+        label, psnr_mean, psnr_sd, ssim_mean, ssim_sd, n_draws = rows[1].split(",")
+        assert (label, psnr_sd, ssim_sd, n_draws) == ("noise_var=0.1", "", "", "1")
+        assert np.isfinite(float(psnr_mean)) and np.isfinite(float(ssim_mean))
 
     def test_vector_task_exit_2(self, tmp_path, capsys):
         # dense and contrast have no deployment-time perturbation

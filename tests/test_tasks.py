@@ -1,4 +1,4 @@
-"""Benchmark operators, perturbations, metrics, toy datasets."""
+"""Benchmark operators, deployments, metrics, toy datasets."""
 
 import dataclasses
 
@@ -146,42 +146,37 @@ class TestPerturbations:
     def test_identity_perturbation_reproduces_system(self):
         spec = tasks.TaskSpec("mri", image_side=8, seed=12)
         base = tasks.build_system(spec)
-        deployed, _ = tasks.perturb_system(spec, tasks.Perturbation())
+        deployed, _ = tasks.deploy(spec)
         np.testing.assert_array_equal(linop.materialize(base), linop.materialize(deployed))
 
     def test_gaussian_generator_noise_level(self):
         spec = tasks.TaskSpec("mri", image_side=4, sigma2_sq=1.0, seed=13)
-        _, gen = tasks.perturb_system(spec, tasks.Perturbation(noise_var=4.0))
+        _, measure = tasks.deploy(spec, "noise_var", 4.0)
         rng = np.random.default_rng(14)
         x0 = np.zeros((20_000, 16))
-        ys = gen(x0, rng)
+        ys = measure(x0, rng)
         assert ys.var() == pytest.approx(4.0, rel=0.05)
 
     def test_poisson_moments(self):
         spec = tasks.TaskSpec("ct", image_side=3, seed=15)
-        _, gen = tasks.perturb_system(
-            spec, tasks.Perturbation(poisson_i0=1e4)
-        )
+        _, measure = tasks.deploy(spec, "poisson_i0", 1e4)
         rng = np.random.default_rng(16)
-        ys = gen(np.zeros((100_000 // 9, 9)), rng)
+        ys = measure(np.zeros((100_000 // 9, 9)), rng)
         # at x0 = 0 the counts are Poisson(I0): logged line integrals have
         # mean ~ 0 and, by the delta method, variance ~ 1 / I0
         assert abs(ys.mean()) < 3e-4
         assert ys.var() == pytest.approx(1e-4, rel=0.03)
 
     def test_poisson_pseudoinverse_psnr_matches_gaussian(self):
-        # the misspecification sweep reconstructs A+ y from generated
+        # the misspecification sweep reconstructs A+ y from deployed
         # measurements; at high I0 Poisson noise of variance ~ 1/I0 must
         # reconstruct like Gaussian noise of the same variance
         spec = tasks.TaskSpec("ct", image_side=8, sigma1_sq=1e-4, seed=0)
         x0 = tasks.make_toy_dataset("image_blobs", 50, seed=1, side=8)
         psnrs = []
-        for pert in (
-            tasks.Perturbation(poisson_i0=1e4),
-            tasks.Perturbation(),
-        ):
-            deployed, gen = tasks.perturb_system(spec, pert)
-            recon = deployed.apply_pinv(gen(x0, np.random.default_rng(2)))
+        for sweep in (("poisson_i0", 1e4), ()):
+            deployed, measure = tasks.deploy(spec, *sweep)
+            recon = deployed.apply_pinv(measure(x0, np.random.default_rng(2)))
             psnrs.append(np.mean([tasks.psnr(r, x) for r, x in zip(recon, x0)]))
         assert abs(psnrs[0] - psnrs[1]) < 1.0, psnrs
 
@@ -189,18 +184,66 @@ class TestPerturbations:
     def test_poisson_refused_off_ct(self, task):
         spec = tasks.TaskSpec(task, image_side=4, factor=2)
         with pytest.raises(ValueError, match="ct task only"):
-            tasks.perturb_system(spec, tasks.Perturbation(poisson_i0=1e4))
+            tasks.deploy(spec, "poisson_i0", 1e4)
 
     def test_poisson_requires_positive_intensity(self):
-        with pytest.raises(ValueError):
-            tasks.Perturbation(poisson_i0=0.0)
+        for intensity in (0.0, -1.0):
+            with pytest.raises(ValueError, match="intensity > 0"):
+                tasks.deploy(tasks.TaskSpec("ct", image_side=3), "poisson_i0", intensity)
 
     def test_tau_perturbation_never_raises_rank(self):
         spec = tasks.TaskSpec("ct", image_side=4, tau=0.05, latent_dim=6, seed=17)
         base_rank = np.linalg.matrix_rank(linop.materialize(tasks.build_system(spec)))
         for tau in (0.1, 0.3, 0.9):
-            deployed, _ = tasks.perturb_system(spec, tasks.Perturbation(tau=tau))
+            deployed, _ = tasks.deploy(spec, "tau", tau)
             assert np.linalg.matrix_rank(linop.materialize(deployed)) <= base_rank
+
+    def test_sweep_table_keeps_its_parameters_and_order(self):
+        assert tasks.SWEEP_PARAMS == ("lambda1", "tau", "noise_var", "poisson_i0")
+
+    # (param, task) -> the TaskSpec field the sweep sets; poisson_i0 sets none
+    DEPLOYED_FIELD = {
+        ("lambda1", "mri"): "lambda1_pct",
+        ("tau", "ct"): "tau",
+        ("noise_var", "ct"): "sigma1_sq",
+        ("noise_var", "mri"): "sigma2_sq",
+        ("poisson_i0", "ct"): None,
+    }
+
+    @pytest.mark.parametrize("param, value", [
+        ("lambda1", 10.0), ("tau", 0.2), ("noise_var", 0.3), ("poisson_i0", 1e3),
+    ])
+    @pytest.mark.parametrize("task", tasks.TASKS + tasks.VECTOR_TASKS)
+    def test_deploy_sets_the_tabled_field_or_refuses(self, task, param, value):
+        spec = tasks.TaskSpec(task, image_side=4, factor=2, seed=3)
+        if (param, task) not in self.DEPLOYED_FIELD:
+            with pytest.raises(ValueError, match="task only"):
+                tasks.deploy(spec, param, value)
+            return
+        deployed, _ = tasks.deploy(spec, param, value)
+        name = self.DEPLOYED_FIELD[param, task]
+        built = tasks.build_system(spec if name is None else dataclasses.replace(spec, **{name: value}))
+        assert linop.materialize(deployed).tobytes() == linop.materialize(built).tobytes()
+        assert linop.materialize_pinv(deployed).tobytes() == linop.materialize_pinv(built).tobytes()
+        assert deployed.sigma_half == built.sigma_half
+
+    def test_gaussian_measure_is_apply_plus_scaled_standard_normal(self):
+        spec = tasks.TaskSpec("ct", image_side=4, sigma1_sq=0.01, seed=5)
+        sys_, measure = tasks.deploy(spec)
+        x0 = tasks.make_dataset(spec, 3, 6)
+        clean = sys_.apply(x0)
+        expected = clean + sys_.noise_scale(np.random.default_rng(7).standard_normal(clean.shape))
+        assert measure(x0, np.random.default_rng(7)).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("param, task", sorted(DEPLOYED_FIELD))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_deploy_refuses_non_finite_value(self, param, task, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            tasks.deploy(tasks.TaskSpec(task, image_side=4), param, value)
+
+    def test_unknown_parameter_refused(self):
+        with pytest.raises(ValueError, match="unknown sweep parameter"):
+            tasks.deploy(tasks.TaskSpec("ct", image_side=4), "sigma1_sq", 0.1)
 
 
 class TestMetrics:
