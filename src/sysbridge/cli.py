@@ -45,8 +45,8 @@ def _write_csv(path, header, rows):
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, float):  # numpy scalars too, as plain numbers
+        return repr(float(value))
     return str(value)
 
 
@@ -114,11 +114,10 @@ _METRIC_HEADER = ["run_id", "task", "variant", "perturbation", "psnr", "ssim", "
 
 def _scores(cfg, samples, truth):
     """(psnrs, ssims): each draw's PSNR against its truth, and its SSIM (of
-    the draw clipped to [0, 1]) where the draws are images of side >= 8,
-    else None."""
+    the draw clipped to [0, 1]) where the draws are images (`TaskSpec.images`)
+    of side >= 8, else None."""
     psnrs = [tasks.psnr(x, ref) for x, ref in zip(samples, truth)]
-    side = cfg.task.image_side
-    if side * side != samples.shape[-1] or side < 8:
+    if cfg.task.image_side < 8 or not cfg.task.images:
         return psnrs, None
     return psnrs, [tasks.ssim(np.clip(x, 0.0, 1.0), ref) for x, ref in zip(samples, truth)]
 

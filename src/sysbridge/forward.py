@@ -13,9 +13,10 @@ consistency between those closed-form marginals and the underlying SDE
     dx = dlog(alpha)/dt (I - A+ A) x dt + G_t dw,
     G_t G_t^T = dgamma/dt A+ Sigma A+^T + gnull_sq (I - A+ A),
 
-and is never part of a production path.  Both take and return arrays.  H_t
-and Sigma_t are materialized only by `oracle.analytic_marginal` and its
-helpers, for test-scale oracles; no core routine inverts Sigma_t.
+and is never part of a production path.  Both rates of G_t are positive
+(`ScheduleCoeffs`).  Both take and return arrays.  H_t and Sigma_t are
+materialized only by `oracle.analytic_marginal` and its helpers, for
+test-scale oracles; no core routine inverts Sigma_t.
 
 Both the one-shot draw and each simulator step are one range/null split,
 `linop.with_range_noise`, costing one `apply` and one `apply_pinv`, and
@@ -37,7 +38,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linop
-from .errors import DivergenceError, NumericalError
+from .errors import DivergenceError
 from .linop import LinearSystem
 from .schedule import ScheduleCoeffs, ScheduleSpec, evaluate
 
@@ -54,27 +55,14 @@ def forward_sample(sys: LinearSystem, coeffs: ScheduleCoeffs, x0, noise: linop.N
     return linop.with_range_noise(sys, v, x0, noise, np.sqrt(coeffs.gamma))
 
 
-def _diffusion_roots(coeffs: ScheduleCoeffs):
-    """(sqrt(gnull_sq), sqrt(dgamma/dt)), refusing negative rates."""
-    if coeffs.gnull_sq < -1e-12:
-        raise NumericalError(
-            f"negative null diffusion rate {coeffs.gnull_sq:.3e} at t={coeffs.t}"
-        )
-    dgamma = coeffs.dgamma_dt
-    if dgamma < 0:
-        raise NumericalError(f"negative range diffusion rate {dgamma:.3e} at t={coeffs.t}")
-    return np.sqrt(max(coeffs.gnull_sq, 0.0)), np.sqrt(dgamma)
-
-
 def sde_step(sys: LinearSystem, coeffs: ScheduleCoeffs, dt: float, x, noise: linop.Noise) -> np.ndarray:
     """One Euler-Maruyama step of the forward SDE from coeffs.t by dt, with
     the draws ``noise`` (`linop.draw_noise` for x's shape)."""
-    gnull, root_dgamma = _diffusion_roots(coeffs)
     root_dt = np.sqrt(dt)
     # x + dt L x + sqrt(dt) gnull z, then its range part reset to x's
-    v = noise.z * (root_dt * gnull)
+    v = noise.z * (root_dt * np.sqrt(coeffs.gnull_sq))
     v += (1.0 + dt * coeffs.dlog_alpha_dt) * x
-    return linop.with_range_noise(sys, v, x, noise, root_dt * root_dgamma)
+    return linop.with_range_noise(sys, v, x, noise, root_dt * np.sqrt(coeffs.dgamma_dt))
 
 
 def simulate_forward_sde(

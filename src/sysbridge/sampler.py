@@ -9,9 +9,10 @@ clock ln(alpha^2 / beta)).  Each step moves along the denoiser-based drift
     null:   (f_null - 2 L) * (alpha * nullpart(denoised) - nullpart(x))
             - L * nullpart(x),        L = dlog(alpha)/dt
 
-which equals G G^T times the marginal score when the denoiser is the exact
-conditional expectation (see oracle.dense_score and `score_drift`), and
-injects noise through the same G as the forward process.
+which is G G^T times the marginal score less the forward drift L nullpart(x)
+when the denoiser is the exact conditional expectation (acceptance criterion
+6 checks `reverse_step` against oracle.dense_score), and injects noise
+through the same G as the forward process.
 
 Every term acts on one subspace only, so a whole step is a single range/null
 split, `linop.with_range_noise`, at the cost of one `apply` and one
@@ -160,7 +161,7 @@ def plan_step(c: ScheduleCoeffs, dt: float) -> Step:
     return Step(
         t=c.t,
         dt=dt,
-        null_scale=math.sqrt(dt * max(c.gnull_sq, 0.0)),
+        null_scale=math.sqrt(dt * c.gnull_sq),
         denoised_gain=dt * stiff * c.alpha,
         state_gain=1.0 - dt * (stiff + lam),
         range_gain=dt * c.f_range,
@@ -189,23 +190,6 @@ def initialize(sys: LinearSystem, spec: ScheduleSpec, y, z) -> np.ndarray:
     beta = evaluate(spec, spec.t_max).beta
     # A+ y plus the null part of the noise
     return linop.with_range(sys, z * np.sqrt(beta), 0.0, y)
-
-
-def score_drift(
-    sys: LinearSystem,
-    coeffs: ScheduleCoeffs,
-    x: np.ndarray,
-    denoised: np.ndarray,
-) -> np.ndarray:
-    """Denoiser-based drift term G G^T score, decomposed by subspace."""
-    x = np.asarray(x, dtype=np.float64)
-    denoised = np.asarray(denoised, dtype=np.float64)
-    x_range = linop.project_range(sys, x)
-    x_null = x - x_range
-    d_range = linop.project_range(sys, denoised)
-    d_null = denoised - d_range
-    out = (coeffs.f_null - 2.0 * coeffs.dlog_alpha_dt) * (coeffs.alpha * d_null - x_null)
-    return out + coeffs.f_range * (d_range - x_range)
 
 
 def reverse_step(

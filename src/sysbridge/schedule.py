@@ -64,8 +64,10 @@ class ScheduleCoeffs:
     """Coefficient triple at one time plus the derived SDE scalars.
 
     gnull_sq is the null-space diffusion rate dbeta/dt - 2 beta dlog(alpha)/dt;
-    f_range = dgamma/dt / gamma and f_null = dbeta/dt / beta feed the
-    denoiser-based drift of the reverse sampler.
+    it and the range rate dgamma_dt are positive on the clipped interval for
+    every variant (sb: gnull_sq = g^2 >= min(b0, b1)).  f_range =
+    dgamma/dt / gamma and f_null = dbeta/dt / beta feed the denoiser-based
+    drift of the reverse sampler.
     """
 
     t: float

@@ -105,7 +105,7 @@ class TaskSpec:
             raise ValueError(f"unknown dataset {self.dataset!r}, expected one of {DATASETS}")
         if self.image_side < 1 or self.signal_dim < 0:
             raise ValueError("image_side >= 1 and signal_dim >= 0 required")
-        if (self.task in TASKS or self.dataset in ("blobs", "field")) and self.d != self.image_side ** 2:
+        if self.images and self.d != self.image_side ** 2:
             raise ValueError(
                 f"task {self.task} on dataset {self.dataset} acts on images: "
                 f"signal_dim must be 0 or image_side**2 = {self.image_side ** 2}"
@@ -146,6 +146,10 @@ class TaskSpec:
     @property
     def d(self) -> int:
         return self.signal_dim if self.signal_dim > 0 else self.image_side ** 2
+
+    @property
+    def images(self) -> bool:  # an image task or an image dataset draws images
+        return self.task in TASKS or self.dataset in ("blobs", "field")
 
 
 def build_system(spec: TaskSpec) -> LinearSystem:

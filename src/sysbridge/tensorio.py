@@ -23,7 +23,7 @@ _CHUNK = 1 << 24  # largest single read: a short stream fails before more is hel
 
 def write_tensor(fh, array) -> None:
     """Append one tensor record to an open binary stream."""
-    arr = np.ascontiguousarray(array, dtype=np.float64)
+    arr = np.asarray(array, dtype=np.float64)
     fh.write(MAGIC)
     fh.write(struct.pack("<I", arr.ndim))
     for dim in arr.shape:

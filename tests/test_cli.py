@@ -487,6 +487,17 @@ class TestVerifyCommand:
     def test_otode_suite(self):
         assert cli.main(["verify", "otode"]) == 0
 
+    def test_value_and_tolerance_cells_are_plain_numbers(self, tmp_path, capsys):
+        # the suite's values are numpy scalars; each cell reads back as a float
+        dest = tmp_path / "rep"
+        assert cli.main(["verify", "gradients", "--output", str(dest)]) == 0
+        printed = capsys.readouterr().out.strip().splitlines()
+        rows = (dest / "verify_gradients.csv").read_text().strip().splitlines()
+        assert rows[1:] == printed and printed
+        for row in printed:
+            value, tolerance = row.split(",")[3:]
+            assert float(value) >= 0 and float(tolerance) > 0
+
 
 MRI_7_INI = _override(MEMORIZE_INI, "task", task="mri", image_side=7, lambda1=5, lambda2=94)
 
@@ -713,6 +724,23 @@ def test_checkpoint_naming_the_fixed_embedding_samples_the_same_bytes(tmp_path):
                          "--simulate", "--output", str(dest)]) == 0
         blobs.append((dest / "samples.sdbt").read_bytes())
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize("dataset, images", [("gaussian", False), ("field", True)])
+def test_ssim_only_for_image_draws(tmp_path, dataset, images):
+    # a dense task's 64-vectors are images only when its dataset draws images
+    text = _override(GAUSS_TOY_INI, "task", signal_dim=0, dataset=dataset)
+    cfg, _ = write_config(tmp_path, _override(text, "sample", n_samples=3, n_steps=10))
+    ckpt = tmp_path / "net.ckpt"
+    save_for(ckpt, dn.init_net(64, hidden=(8,), seed=3), cfg)
+    dest = tmp_path / "run"
+    assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                     "--simulate", "--output", str(dest)]) == 0
+    rows = [r.split(",") for r in (dest / "metrics.csv").read_text().strip().splitlines()[1:]]
+    assert len(rows) == 3
+    for row in rows:
+        assert np.isfinite(float(row[4]))
+        assert (row[5] != "") == images
 
 
 def _tensor_bytes(array):

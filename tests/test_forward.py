@@ -31,7 +31,7 @@ class DriftDiffusion:
 
 def drift_diffusion(sys, coeffs) -> DriftDiffusion:
     """Operator bundle for the SDE at coeffs.t, each action spelled out."""
-    gnull, root_dgamma = forward._diffusion_roots(coeffs)
+    gnull, root_dgamma = np.sqrt(coeffs.gnull_sq), np.sqrt(coeffs.dgamma_dt)
 
     def apply_F(x):
         return coeffs.dlog_alpha_dt * linop.project_null(sys, x)

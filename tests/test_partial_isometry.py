@@ -106,7 +106,7 @@ def diffusion_gram(sys, coeffs):
     s = linop.materialize_noise_half(sys)
     pinv_noise = a_pinv @ s
     null_proj = np.eye(sys.d) - a_pinv @ a
-    return coeffs.dgamma_dt * pinv_noise @ pinv_noise.T + max(coeffs.gnull_sq, 0.0) * null_proj
+    return coeffs.dgamma_dt * pinv_noise @ pinv_noise.T + coeffs.gnull_sq * null_proj
 
 
 @st.composite

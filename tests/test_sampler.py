@@ -111,14 +111,22 @@ def transcribed_step(sys, coeffs, x, denoised, dt, draws, locked_range=None):
     A partial isometry with scalar noise s I has no eps: its range noise is
     s sqrt(kappa) times the range part of the null-noise draw z."""
     gain = sys.range_noise_gain
-    drift = sampler.score_drift(sys, coeffs, x, denoised)
-    drift = drift - coeffs.dlog_alpha_dt * linop.project_null(sys, x)
+    x_range = linop.project_range(sys, x)
+    x_null = x - x_range
+    d_range = linop.project_range(sys, denoised)
+    d_null = denoised - d_range
+    lam = coeffs.dlog_alpha_dt
+    drift = (
+        (coeffs.f_null - 2.0 * lam) * (coeffs.alpha * d_null - x_null)
+        + coeffs.f_range * (d_range - x_range)
+        - lam * x_null
+    )
     noise = np.zeros_like(x)
     if draws.eps is not None:
         noise = noise + np.sqrt(coeffs.dgamma_dt) * sys.apply_pinv(sys.noise_scale(draws.eps))
     if gain is not None:
         noise = noise + np.sqrt(coeffs.dgamma_dt) * gain * linop.project_range(sys, draws.z)
-    noise = noise + np.sqrt(max(coeffs.gnull_sq, 0.0)) * linop.project_null(sys, draws.z)
+    noise = noise + np.sqrt(coeffs.gnull_sq) * linop.project_null(sys, draws.z)
     x_new = x + dt * drift + np.sqrt(dt) * noise
     if locked_range is not None:
         x_new = locked_range + linop.project_null(sys, x_new)
@@ -386,7 +394,7 @@ class TestStepPlan:
             expected = (
                 t,
                 dt,
-                np.sqrt(dt * max(c.gnull_sq, 0.0)),
+                np.sqrt(dt * c.gnull_sq),
                 dt * stiff * c.alpha,
                 1.0 - dt * (stiff + lam),
                 dt * c.f_range,
@@ -425,8 +433,10 @@ class TestStepPlan:
 
 class TestScoreDecomposition:
     def test_drift_equals_diffusion_times_score(self):
-        # the denoiser-based drift is G G^T times the exact marginal score
+        # a noise-free step moves by dt (G G^T score - L (I - A+ A) x), with
+        # G G^T score the denoiser-based drift at the exact marginal score
         rng = np.random.default_rng(4)
+        dt = 1e-3
         for trial in range(25):
             d = int(rng.integers(2, 7))
             m = int(rng.integers(1, d + 1))
@@ -443,14 +453,16 @@ class TestScoreDecomposition:
             coeffs = schedule.evaluate(spec, t)
             x = rng.standard_normal(d)
             den = oracle.oracle_denoiser(prior, sys, spec)
-            drift = sampler.score_drift(sys, coeffs, x, den(x, t))
+            zero = linop.Noise(np.zeros(d), np.zeros(m))
+            x_new = sampler.reverse_step(sys, sampler.plan_step(coeffs, dt), x, den(x, t), zero)
 
             score = oracle.dense_score(prior, sys, coeffs, x)
             pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(m))).T
             eye = np.eye(d)
             nullp = eye - linop.project_range(sys, eye).T
             ggt = coeffs.dgamma_dt * pinv_noise @ pinv_noise.T + coeffs.gnull_sq * nullp
-            np.testing.assert_allclose(drift, ggt @ score, atol=1e-8)
+            drift = ggt @ score - coeffs.dlog_alpha_dt * nullp @ x
+            np.testing.assert_allclose((x_new - x) / dt, drift, atol=1e-8)
 
 
 class TestSample:

@@ -157,6 +157,23 @@ class TestStructure:
                 assert c.gnull_sq >= -1e-12
 
 
+    @given(
+        st.sampled_from(schedule.VARIANTS),
+        st.floats(1e-6, 1e2), st.floats(1e-6, 1e2),
+        st.floats(1.0, 1e3, exclude_min=True),
+        st.floats(1e-9, 0.5, exclude_max=True), st.floats(1e-9, 0.5, exclude_max=True),
+        st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_both_diffusion_rates_positive(self, variant, b0, b1, sigma_max, eps1, eps2, u):
+        # the steps take square roots of both rates as they are
+        spec = schedule.ScheduleSpec(variant, b0, b1, sigma_max, eps1, eps2)
+        inner = min(spec.t_min + u * (spec.t_max - spec.t_min), spec.t_max)
+        for t in (spec.t_min, inner, spec.t_max):
+            c = schedule.evaluate(spec, t)
+            assert c.gnull_sq > 0 and c.dgamma_dt > 0, (spec, t)
+
+
 class TestTerminalLimits:
     """(gamma, alpha^2 / beta) at the clipped terminal time 1 - eps1: the
     reverse sampler is posterior-consistent when gamma approaches 1 and

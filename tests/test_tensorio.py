@@ -26,6 +26,34 @@ def test_roundtrip_rank3_and_scalar(tmp_path):
         np.testing.assert_array_equal(tensorio.load_tensor(path), arr)
 
 
+def _views():
+    """Arrays of rank 0 to 3, zero-size sides included, as strided or
+    transposed views when drawn so."""
+    shapes = st.lists(st.integers(0, 4), max_size=3)
+    return st.builds(
+        lambda shape, seed, step, flip: _view(shape, seed, step, flip),
+        shapes, st.integers(0, 2 ** 16), st.integers(1, 2), st.booleans(),
+    )
+
+
+def _view(shape, seed, step, flip):
+    base = np.random.default_rng(seed).standard_normal([n * step for n in shape])
+    view = base[tuple(slice(None, None, step) for _ in shape)]
+    return view.T if flip else view
+
+
+@settings(max_examples=200, deadline=None)
+@given(_views())
+def test_write_read_round_trip_keeps_shape_and_values(arr):
+    buf = io.BytesIO()
+    tensorio.write_tensor(buf, arr)
+    buf.seek(0)
+    back = tensorio.read_tensor(buf)
+    assert back.shape == arr.shape
+    assert back.tobytes() == np.ascontiguousarray(arr).tobytes()
+    assert buf.read() == b""
+
+
 def test_layout_is_little_endian_row_major(tmp_path):
     path = tmp_path / "t.sdbt"
     tensorio.save_tensor(path, np.array([[1.0, 2.0], [3.0, 4.0]]))
