@@ -193,6 +193,10 @@ def _checkpoint_denoiser(path, cfg: ExperimentConfig, d: int):
 
 
 def cmd_sample(args) -> int:
+    if args.simulate and args.measurements:
+        raise ConfigError("sample takes --simulate or --measurements, not both")
+    if args.oracle_denoiser and args.checkpoint:
+        raise ConfigError("sample takes --oracle-denoiser or --checkpoint, not both")
     cfg = parse_config(args.config)
     if args.seed is not None:
         cfg = with_seed(cfg, "sample", args.seed)

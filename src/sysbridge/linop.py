@@ -5,7 +5,9 @@ y = A x + S e, where A is the m x d system response matrix, S is a square
 root of the noise covariance (S S^T = Sigma) and e is standard Gaussian.
 The Moore-Penrose pseudoinverse A+ splits the signal space into the range
 component A+ A x, which survives measurement, and the null component
-(I - A+ A) x, which is annihilated by A.  `with_range` combines the null
+(I - A+ A) x, which is annihilated by A.  A dense A gets its A+ from one
+SVD in `build_dense_system`, where singular values at or below
+CUTOFF times the largest count as zero.  `with_range` combines the null
 part of one vector with the range part of another in a single `apply` and
 `apply_pinv`; the forward process and the sampler update through it.
 
@@ -47,7 +49,7 @@ from .errors import DimensionError, NumericalError
 # Relative singular-value cutoff for generic pseudoinverses.  Structured
 # operators with a prescribed spectrum (e.g. threshold-truncated SVD) carry
 # their own absolute threshold instead.
-DEFAULT_CUTOFF = 1e-12
+CUTOFF = 1e-12
 
 SigmaHalf = Union[float, np.ndarray]
 
@@ -113,46 +115,6 @@ def _check_last_axis(x, n, what):
     if x.shape[-1] != n:
         raise DimensionError(f"{what}: expected last axis {n}, got shape {x.shape}")
     return x
-
-
-def _pinv_and_spectrum(a: np.ndarray, cutoff: float):
-    """(A+, singular values of A, largest first) from one SVD."""
-    if not np.all(np.isfinite(a)):
-        raise DimensionError("pseudoinverse: non-finite entries")
-    if cutoff < 0:
-        raise ValueError("pseudoinverse: cutoff must be >= 0")
-    try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"SVD failed to converge for {a.shape[0]}x{a.shape[1]} matrix"
-        ) from exc
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((a.shape[1], a.shape[0])), s
-    inv = np.where(s > cutoff * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv) @ u.T, s
-
-
-def pseudoinverse(a: np.ndarray, cutoff: float = DEFAULT_CUTOFF) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD.
-
-    Singular values at or below ``cutoff * sigma_max`` are treated as zero;
-    the remaining ones are reciprocated.  The all-zero matrix maps to the
-    all-zero pseudoinverse.
-    """
-    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-    return _pinv_and_spectrum(a, cutoff)[0]
-
-
-def _partial_isometry_kappa(s: np.ndarray, cutoff: float) -> Optional[float]:
-    """1 / s^2 when the singular values the pseudoinverse keeps agree to
-    1e-12 relative and there is at least one; None otherwise."""
-    if s.size == 0 or s[0] == 0.0:
-        return None
-    kept = s[s > cutoff * s[0]]
-    if kept.size == 0 or kept[0] - kept[-1] > 1e-12 * kept[0]:
-        return None
-    return float(1.0 / (kept[0] * kept[0]))
 
 
 def penrose_residuals(a: np.ndarray, a_pinv: np.ndarray) -> dict:
@@ -258,22 +220,31 @@ def make_noise_scale(sigma_half: SigmaHalf, m: int):
     return noise_scale
 
 
-def build_dense_system(
-    a: np.ndarray,
-    sigma_half: SigmaHalf = 0.0,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> LinearSystem:
-    """Back A and A+ with dense multiplies.
+def build_dense_system(a: np.ndarray, sigma_half: SigmaHalf = 0.0) -> LinearSystem:
+    """Back A and A+ with dense multiplies, from one SVD of A.
 
-    The pseudoinverse is computed once at construction via SVD; the same
-    singular values decide `kappa` (set for scalar noise only).
+    The one threshold rule: singular values at or below ``CUTOFF * s_max``
+    count as zero and the rest are reciprocated into A+.  The same mask
+    decides kappa (scalar noise only): 1 / s_max^2 when the kept values
+    agree to 1e-12 relative, else None.  The all-zero matrix keeps nothing:
+    its A+ is all zero and its kappa None.  Non-finite entries are a
+    `DimensionError`.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     m, d = a.shape
-    a_pinv, s = _pinv_and_spectrum(a, cutoff)
+    if not np.all(np.isfinite(a)):
+        raise DimensionError("build_dense_system: non-finite entries")
+    try:
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD failed to converge for {m}x{d} matrix") from exc
+    keep = s > CUTOFF * s.max(initial=0.0)
+    a_pinv = (vt.T * np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)) @ u.T
     kappa = None
-    if not isinstance(sigma_half, np.ndarray):
-        kappa = _partial_isometry_kappa(s, cutoff)
+    if not isinstance(sigma_half, np.ndarray) and keep.any():
+        kept = s[keep]
+        if kept[0] - kept[-1] <= 1e-12 * kept[0]:
+            kappa = float(1.0 / (kept[0] * kept[0]))
 
     def apply(x):
         return _check_last_axis(x, d, "apply") @ a.T
@@ -289,10 +260,6 @@ def build_dense_system(
         sigma_half=sigma_half,
         kappa=kappa,
     )
-
-
-def identity_system(d: int, sigma_half: SigmaHalf = 0.0) -> LinearSystem:
-    return build_dense_system(np.eye(d), sigma_half=sigma_half)
 
 
 def materialize(sys: LinearSystem) -> np.ndarray:

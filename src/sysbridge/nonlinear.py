@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalError, check_dense_dim
-from .linop import DEFAULT_CUTOFF, LinearSystem, _check_last_axis, build_dense_system
+from .linop import LinearSystem, _check_last_axis, build_dense_system
 
 
 @dataclass(frozen=True)
@@ -116,15 +116,9 @@ def jacobian_matrix(nsys: NonlinearSystem, x_hat) -> np.ndarray:
     return jac
 
 
-def linearize(
-    nsys: NonlinearSystem,
-    x_hat,
-    sigma_half=0.0,
-    cutoff: float = DEFAULT_CUTOFF,
-) -> LinearSystem:
+def linearize(nsys: NonlinearSystem, x_hat, sigma_half=0.0) -> LinearSystem:
     """Dense linear system backed by the Jacobian at x_hat."""
-    jac = jacobian_matrix(nsys, x_hat)
-    return build_dense_system(jac, sigma_half=sigma_half, cutoff=cutoff)
+    return build_dense_system(jacobian_matrix(nsys, x_hat), sigma_half=sigma_half)
 
 
 def linearized_measurement(nsys: NonlinearSystem, sys: LinearSystem, x_hat, y) -> np.ndarray:

@@ -463,6 +463,20 @@ class TestSample:
         assert code == 1
         assert err.startswith("numerical failure: chain diverged at step 0 ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize("sources", [
+        ["--oracle-denoiser", "--simulate", "--measurements", "y.sdbt"],
+        ["--oracle-denoiser", "--checkpoint", "missing.ckpt", "--measurements", "y.sdbt"],
+    ], ids=["simulate_and_measurements", "oracle_and_checkpoint"])
+    def test_conflicting_sources_exit_2_with_one_line(self, tmp_path, capsys, sources):
+        cfg, out = write_config(tmp_path, GAUSS_TOY_INI)
+        tensorio.save_tensor(tmp_path / "y.sdbt", np.zeros((2, 2)))
+        argv = [str(tmp_path / a) if a.endswith((".sdbt", ".ckpt")) else a for a in sources]
+        capsys.readouterr()
+        assert cli.main(["sample", "--config", str(cfg), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: sample takes --") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_oracle_denoiser_posterior_artifacts(self, tmp_path):
         cfg, out = write_config(tmp_path, GAUSS_TOY_INI)
         code = cli.main(["sample", "--config", str(cfg), "--oracle-denoiser", "--simulate"])

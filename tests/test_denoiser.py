@@ -55,7 +55,7 @@ class TestForward:
 
 class TestLossAndGrad:
     def setup_method(self):
-        self.sys = linop.identity_system(3)
+        self.sys = linop.build_dense_system(np.eye(3))
         self.spec = schedule.ScheduleSpec("vp")
         self.coeffs = schedule.evaluate(self.spec, 0.5)
 
@@ -185,7 +185,7 @@ class TestFlatLayout:
         monkeypatch.setattr(dn, "adam_step", spy)
         net = dn.init_net(3, hidden=(5,), seed=0)
         tcfg = dn.TrainConfig(lr=1e-3, batch_size=4, n_epochs=1, seed=0)
-        dn.train(net, linop.identity_system(3), schedule.ScheduleSpec("sb"), np.ones((4, 3)), tcfg)
+        dn.train(net, linop.build_dense_system(np.eye(3)), schedule.ScheduleSpec("sb"), np.ones((4, 3)), tcfg)
         assert len(seen) == 5 and seen[0] is net.flat
         for buf in seen:
             assert buf.ctypes.data % 64 == 0 and buf.shape == net.flat.shape
@@ -364,7 +364,7 @@ class TestAdam:
 
 class TestTrain:
     def test_memorization_smoke(self):
-        sys = linop.identity_system(16)
+        sys = linop.build_dense_system(np.eye(16))
         spec = schedule.ScheduleSpec("sb")
         data = np.tile(np.full(16, 0.6), (16, 1))
         net = dn.init_net(16, hidden=(), seed=0)
@@ -376,7 +376,7 @@ class TestTrain:
         assert losses[-1] < 1e-3
 
     def test_loss_trend_non_increasing(self):
-        sys = linop.identity_system(8)
+        sys = linop.build_dense_system(np.eye(8))
         spec = schedule.ScheduleSpec("vp")
         data = np.tile(np.linspace(0, 1, 8), (8, 1))
         net = dn.init_net(8, hidden=(16,), seed=1)
@@ -387,7 +387,7 @@ class TestTrain:
         assert windows[-1] < windows[0]
 
     def test_zero_lr_keeps_parameters(self):
-        sys = linop.identity_system(4)
+        sys = linop.build_dense_system(np.eye(4))
         spec = schedule.ScheduleSpec("vp")
         data = np.ones((4, 4))
         net = dn.init_net(4, hidden=(8,), seed=2)
@@ -413,7 +413,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             dn.train(
                 dn.init_net(2, hidden=(), seed=0),
-                linop.identity_system(2),
+                linop.build_dense_system(np.eye(2)),
                 schedule.ScheduleSpec("vp"),
                 np.zeros((0, 2)),
                 dn.TrainConfig(),

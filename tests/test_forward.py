@@ -68,7 +68,7 @@ class TestForwardSample:
         assert abs(xs.var() - coeffs.beta) < 0.02
 
     def test_range_noise_variance(self):
-        sys = linop.identity_system(3, sigma_half=2.0)
+        sys = linop.build_dense_system(np.eye(3), sigma_half=2.0)
         spec = schedule.ScheduleSpec("vp")
         coeffs = schedule.evaluate(spec, 0.0625)  # gamma = 0.25
         noise = linop.draw_noise(sys, np.random.default_rng(2), (100_000, 3))
@@ -149,7 +149,7 @@ class TestOperatorCalls:
 
 class TestAnalyticMarginal:
     def test_identity_noiseless(self):
-        sys = linop.identity_system(3)
+        sys = linop.build_dense_system(np.eye(3))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x0 = np.array([1.0, 2.0, 3.0])
         bel = oracle.analytic_marginal(sys, coeffs, x0)

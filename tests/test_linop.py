@@ -17,35 +17,39 @@ def random_system(seed, m=3, d=5, sigma=0.0):
     return linop.build_dense_system(rng.standard_normal((m, d)), sigma_half=sigma)
 
 
+def dense_pinv(a):
+    return linop.materialize_pinv(linop.build_dense_system(a))
+
+
 class TestPseudoinverse:
     def test_identity(self):
-        np.testing.assert_allclose(linop.pseudoinverse(np.eye(3)), np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(dense_pinv(np.eye(3)), np.eye(3), atol=1e-12)
 
     def test_diagonal_mask_is_own_pseudoinverse(self):
         m = np.diag([1.0, 0.0, 1.0, 0.0])
-        np.testing.assert_allclose(linop.pseudoinverse(m), m, atol=1e-12)
+        np.testing.assert_allclose(dense_pinv(m), m, atol=1e-12)
 
     def test_random_rect_penrose(self):
         a = np.random.default_rng(0).standard_normal((3, 5))
-        res = linop.penrose_residuals(a, linop.pseudoinverse(a))
+        res = linop.penrose_residuals(a, dense_pinv(a))
         assert max(res.values()) < 1e-9
 
     def test_zero_matrix(self):
-        assert np.all(linop.pseudoinverse(np.zeros((2, 4))) == 0.0)
+        assert np.all(dense_pinv(np.zeros((2, 4))) == 0.0)
 
     def test_cutoff_drops_small_singular_values(self):
-        a = np.diag([1.0, 1e-14])
-        p = linop.pseudoinverse(a, cutoff=1e-12)
+        # 1e-14 lies below CUTOFF = 1e-12 relative to the largest value
+        p = dense_pinv(np.diag([1.0, 1e-14]))
         np.testing.assert_allclose(p, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(DimensionError):
-            linop.pseudoinverse(np.array([[np.nan, 1.0]]))
+            linop.build_dense_system(np.array([[np.nan, 1.0]]))
 
 
 class TestProjections:
     def test_identity_system_range_is_identity(self):
-        sys = linop.identity_system(4)
+        sys = linop.build_dense_system(np.eye(4))
         x = np.arange(4.0)
         np.testing.assert_allclose(linop.project_range(sys, x), x)
         np.testing.assert_allclose(linop.project_null(sys, x), np.zeros(4))
@@ -93,7 +97,7 @@ class TestProjections:
 
 class TestReconstruction:
     def test_identity(self):
-        sys = linop.identity_system(3)
+        sys = linop.build_dense_system(np.eye(3))
         y = np.array([1.0, -2.0, 0.5])
         np.testing.assert_allclose(sys.apply_pinv(y), y)
 
@@ -130,7 +134,7 @@ class TestDegenerate:
 def test_svd_failure_reports_dimensions():
     bad = np.array([[1.0, np.inf]])
     with pytest.raises((DimensionError, NumericalError)):
-        linop.pseudoinverse(bad)
+        linop.build_dense_system(bad)
 
 
 class TestNoiseFactor:
@@ -140,7 +144,7 @@ class TestNoiseFactor:
         np.testing.assert_array_equal(linop.materialize_noise_half(sys), s)
 
     def test_scalar_sigma_half_is_materialized(self):
-        sys = linop.identity_system(3, sigma_half=0.7)
+        sys = linop.build_dense_system(np.eye(3), sigma_half=0.7)
         np.testing.assert_array_equal(linop.materialize_noise_half(sys), 0.7 * np.eye(3))
 
     def test_matrix_of_the_wrong_shape_refused(self):
@@ -158,7 +162,7 @@ class TestNoiseFactor:
 
     def test_replaced_sigma_half_rebuilds_noise_scale(self):
         for old, new in ((0.1, 0.5), (np.diag([0.1, 0.2]), np.diag([0.5, 0.5]))):
-            sys = linop.identity_system(2, sigma_half=old)
+            sys = linop.build_dense_system(np.eye(2), sigma_half=old)
             moved = dataclasses.replace(sys, sigma_half=new)
             expected = new * np.eye(2) if np.isscalar(new) else new
             np.testing.assert_array_equal(linop.materialize_noise_half(moved), expected)
@@ -166,7 +170,7 @@ class TestNoiseFactor:
 
     def test_wrapped_noise_scale_is_kept(self):
         # a wrapper that copies the closure's record (functools.wraps) is kept
-        sys = linop.identity_system(2, sigma_half=0.3)
+        sys = linop.build_dense_system(np.eye(2), sigma_half=0.3)
 
         @functools.wraps(sys.noise_scale)
         def wrapped(eps):

@@ -109,7 +109,7 @@ class TestLinearize:
     def test_saturated_rows_truncated(self):
         nsys = nonlinear.sigmoid_contrast_system(4, k=12.0, a=0.5)
         x_hat = np.array([0.5, 0.5, 8.0, -8.0])  # last two deep in saturation
-        sys = nonlinear.linearize(nsys, x_hat, cutoff=1e-9)
+        sys = nonlinear.linearize(nsys, x_hat)
         recon = sys.apply_pinv(np.ones(4))
         assert abs(recon[2]) < 1e-9 and abs(recon[3]) < 1e-9
         assert abs(recon[0]) > 1e-3

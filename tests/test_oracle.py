@@ -97,7 +97,7 @@ class TestOracleDenoiser:
         np.testing.assert_allclose(out, prior.mean, atol=1e-4)
 
     def test_near_clean_limit(self):
-        sys = linop.identity_system(3)
+        sys = linop.build_dense_system(np.eye(3))
         prior = toy_prior(3, seed=4)
         spec = schedule.ScheduleSpec("sb", eps2=1e-6)
         den = oracle.oracle_denoiser(prior, sys, spec)
@@ -203,7 +203,7 @@ class TestDenseScore:
         np.testing.assert_allclose(score, -x / 2.0, atol=1e-12)
 
     def test_one_dimensional_density_normalizes(self):
-        sys = linop.identity_system(1, sigma_half=0.8)
+        sys = linop.build_dense_system(np.eye(1), sigma_half=0.8)
         prior = oracle.GaussianBelief(np.array([0.4]), np.array([[0.9]]))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.3)
         h = float(oracle.mean_matrix(sys, coeffs)[0, 0])

@@ -79,11 +79,11 @@ class TestKappa:
     def test_zero_matrix_has_none(self):
         assert linop.build_dense_system(np.zeros((2, 3)), sigma_half=0.5).kappa is None
 
-    def test_cutoff_that_keeps_nothing_has_none(self):
-        # cutoff 1 drops every singular value: the pseudoinverse is zero
-        sys = linop.build_dense_system(np.eye(3)[:2], sigma_half=0.3, cutoff=1.0)
-        assert sys.kappa is None and sys.range_noise_gain is None
-        assert not np.any(sys.apply_pinv(np.ones(2)))
+    def test_one_threshold_for_kappa_and_pinv(self):
+        # 1e-14 is below CUTOFF: one mask drops it from A+ and from kappa alike
+        sys = linop.build_dense_system(np.diag([0.5, 0.5, 1e-14]), sigma_half=0.3)
+        assert sys.kappa == 4.0 and sys.range_noise_gain == pytest.approx(0.6, rel=1e-12)
+        np.testing.assert_array_equal(linop.materialize_pinv(sys), np.diag([2.0, 2.0, 0.0]))
 
     def test_gain(self):
         sys = linop.build_dense_system(orthonormal_rows(np.random.default_rng(6), 2, 4, 0.5), sigma_half=0.5)

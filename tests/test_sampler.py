@@ -17,7 +17,7 @@ def mask_system(sigma=0.0):
 
 class TestInitialize:
     def test_identity_system_no_noise_added(self):
-        sys = linop.identity_system(3)
+        sys = linop.build_dense_system(np.eye(3))
         spec = schedule.ScheduleSpec("vp")
         y = np.array([1.0, -2.0, 0.3])
         x = sampler.initialize(sys, spec, y, np.random.default_rng(0).standard_normal(3))
@@ -60,7 +60,7 @@ class TestReverseStep:
 
     def test_stationary_when_denoised_matches(self):
         # identity system, no noise, denoised == x: drift vanishes entirely
-        sys = linop.identity_system(2)
+        sys = linop.build_dense_system(np.eye(2))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
         x = np.array([0.4, -1.2])
         step = sampler.plan_step(coeffs, 0.01)
@@ -467,7 +467,7 @@ class TestScoreDecomposition:
 
 class TestSample:
     def test_identity_noiseless_returns_measurement(self):
-        sys = linop.identity_system(3)
+        sys = linop.build_dense_system(np.eye(3))
         spec = schedule.ScheduleSpec("sb")
         y = np.array([0.3, 0.8, -0.5])
         for seed in (0, 1, 2):
