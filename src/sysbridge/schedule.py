@@ -5,10 +5,15 @@ drift, null-space diffusion and range-space diffusion coefficients.
 Variants:
 
   sb  - alpha = sbar^2 / C, beta = s^2 sbar^2 / C, gamma = s^2 / C with
-        s^2(t) the running integral of a piecewise-quadratic rate g^2 and
-        sbar^2 = C - s^2.  The rate is ghat(t) below 0.5 and its mirror
-        above, ghat(t) = (sqrt(b0) + t (sqrt(b1) - sqrt(b0)))^2.  All
-        integrals are exact cubic polynomials; no quadrature.
+        s^2(t) the integral of a piecewise-quadratic rate g^2 from 0 to t,
+        sbar^2(t) its integral from t to 1 and C = s^2 + sbar^2 its total
+        mass.  The rate is ghat(t) below 0.5 and its mirror above,
+        ghat(t) = (sqrt(b0) + t (sqrt(b1) - sqrt(b0)))^2, so by the mirror
+        sbar^2(t) = s^2(1 - t).  Whichever of the two integrals runs from
+        the nearer endpoint is the cubic antiderivative of ghat at
+        min(t, 1 - t), and the other is C minus it: neither is a
+        difference of nearly equal numbers, so sbar^2 keeps its digits
+        near t_max.  No quadrature.
   vp  - alpha = 1 - t, beta = sqrt(t), gamma = sqrt(t).
   ve  - alpha = 1, beta = sigma_max sqrt(t), gamma = sqrt(t).
 
@@ -98,19 +103,6 @@ def g_squared(spec: ScheduleSpec, t: float) -> float:
     return val * val
 
 
-def _sb_integrals(spec: ScheduleSpec, t: float):
-    """(s^2, C) with s^2 the running integral of g^2 and C its total mass."""
-    s0, s1 = math.sqrt(spec.b0), math.sqrt(spec.b1)
-    delta = s1 - s0
-    half = _ghat_antideriv(0.5, s0, delta)
-    total = 2.0 * half
-    if t <= 0.5:
-        running = _ghat_antideriv(t, s0, delta)
-    else:
-        running = 2.0 * half - _ghat_antideriv(1.0 - t, s0, delta)
-    return running, total
-
-
 def evaluate(spec: ScheduleSpec, t: float) -> ScheduleCoeffs:
     """Coefficients and analytic time derivatives at time t."""
     if not (spec.t_min <= t <= spec.t_max):
@@ -137,9 +129,13 @@ def evaluate(spec: ScheduleSpec, t: float) -> ScheduleCoeffs:
         dgamma = 0.5 / rt
         dlog_alpha = 0.0
     else:
+        # by the mirror, never a difference of nearly equal numbers (module docstring)
+        s0 = math.sqrt(spec.b0)
+        delta = math.sqrt(spec.b1) - s0
+        near = _ghat_antideriv(min(t, 1.0 - t), s0, delta)
+        total = 2.0 * _ghat_antideriv(0.5, s0, delta)
+        s_sq, sbar_sq = (near, total - near) if t <= 0.5 else (total - near, near)
         g2 = g_squared(spec, t)
-        s_sq, total = _sb_integrals(spec, t)
-        sbar_sq = total - s_sq
         alpha = sbar_sq / total
         gamma = s_sq / total
         beta = s_sq * sbar_sq / total

@@ -1,6 +1,7 @@
 """Coefficient schedules: variant formulas, derivatives, identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,15 +43,38 @@ class TestVariantFormulas:
             assert c.gamma == pytest.approx(t, abs=1e-12)
 
     def test_sb_integral_against_quadrature(self):
+        # gamma = s^2 / C: the running integral over the total mass
         spec = schedule.ScheduleSpec("sb", b0=0.03, b1=0.7)
         s0, s1 = math.sqrt(spec.b0), math.sqrt(spec.b1)
-        for t_eval in (0.3, 0.8):
-            grid = np.linspace(0.0, t_eval, 1_000_001)
+
+        def quad(t_end):
+            grid = np.linspace(0.0, t_end, 1_000_001)
             u = np.where(grid <= 0.5, grid, 1.0 - grid)
-            vals = (s0 + u * (s1 - s0)) ** 2
-            quad = float(np.trapezoid(vals, grid))
-            s_sq, _ = schedule._sb_integrals(spec, t_eval)
-            assert s_sq == pytest.approx(quad, abs=1e-9)
+            return float(np.trapezoid((s0 + u * (s1 - s0)) ** 2, grid))
+
+        total = quad(1.0)
+        for t_eval in (0.3, 0.8):
+            assert schedule.evaluate(spec, t_eval).gamma == pytest.approx(quad(t_eval) / total, abs=1e-9)
+
+    @pytest.mark.parametrize("b0, b1, eps1", [(1e-6, 100.0, 1e-9), (1e-3, 1.0, 1e-5), (0.1, 0.3, 1e-3)])
+    def test_sb_null_coefficients_keep_their_digits_at_t_max(self, b0, b1, eps1):
+        # exact rational arithmetic on the rate the float sqrt(b0), sqrt(b1) define
+        spec = schedule.ScheduleSpec("sb", b0=b0, b1=b1, eps1=eps1)
+        t = spec.t_max
+        s0 = Fraction(math.sqrt(b0))
+        delta = Fraction(math.sqrt(b1)) - s0
+
+        def antideriv(u):
+            return s0 * s0 * u + s0 * delta * u * u + delta * delta * u ** 3 / 3
+
+        total = 2 * antideriv(Fraction(1, 2))
+        sbar_sq = antideriv(1 - Fraction(t))
+        s_sq = total - sbar_sq
+        rate = (s0 + (1 - Fraction(t)) * delta) ** 2
+        c = schedule.evaluate(spec, t)
+        assert c.alpha == pytest.approx(float(sbar_sq / total), rel=1e-14, abs=0)
+        assert c.beta == pytest.approx(float(s_sq * sbar_sq / total), rel=1e-14, abs=0)
+        assert c.dlog_alpha_dt == pytest.approx(float(-rate / sbar_sq), rel=1e-14, abs=0)
 
     def test_sb_start_limit(self):
         spec = schedule.ScheduleSpec("sb", eps2=1e-6)
@@ -126,13 +150,15 @@ class TestG2Identity:
 
 class TestStructure:
     def test_sb_total_mass_constant(self):
+        # alpha + gamma = (sbar^2 + s^2) / C and beta / (alpha gamma) = C
         spec = schedule.ScheduleSpec("sb", b0=0.05, b1=0.4)
-        totals = []
+        sums, totals = [], []
         for t in np.linspace(spec.t_min, spec.t_max, 41):
-            s_sq, total = schedule._sb_integrals(spec, t)
-            sbar_sq = total - s_sq
-            totals.append(s_sq + sbar_sq)
-        assert np.ptp(totals) < 1e-12
+            c = schedule.evaluate(spec, float(t))
+            sums.append(c.alpha + c.gamma)
+            totals.append(c.beta / (c.alpha * c.gamma))
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
+        assert np.ptp(totals) < 1e-12 * np.mean(totals)
 
     def test_range_null_alignment(self):
         # vp and ve share one rate for both subspaces; sb does not
