@@ -87,13 +87,23 @@ def _prepare_output_dir(path) -> Path:
     return out
 
 
-def _snapshot(cfg: ExperimentConfig, out: Path):
-    (out / "config_resolved.ini").write_text(serialize_config(cfg), encoding="utf-8")
-
-
 def _log(out: Path, message: str):
     with open(out / "run.log", "a", encoding="utf-8") as fh:
         fh.write(f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
+
+
+def _start_run(args, section: str, what: str) -> Tuple[ExperimentConfig, Path]:
+    """(config, output directory) of a run: the parsed config with ``--seed``
+    applied to ``section``, its output directory prepared, the resolved
+    config written there and the start message ``what`` logged, with
+    ``{run_id}`` filled in."""
+    cfg = parse_config(args.config)
+    if args.seed is not None:
+        cfg = with_seed(cfg, section, args.seed)
+    out = _prepare_output_dir(args.output or cfg.run.output_dir)
+    (out / "config_resolved.ini").write_text(serialize_config(cfg), encoding="utf-8")
+    _log(out, what.format(run_id=cfg.run.run_id))
+    return cfg, out
 
 
 def _metric_row(cfg, perturbation, psnr_val, ssim_val, n_samples, seed):
@@ -115,20 +125,15 @@ _METRIC_HEADER = ["run_id", "task", "variant", "perturbation", "psnr", "ssim", "
 def _scores(cfg, samples, truth):
     """(psnrs, ssims): each draw's PSNR against its truth, and its SSIM (of
     the draw clipped to [0, 1]) where the draws are images (`TaskSpec.images`)
-    of side >= 8, else None."""
+    of side >= `tasks.SSIM_WINDOW`, else None."""
     psnrs = [tasks.psnr(x, ref) for x, ref in zip(samples, truth)]
-    if cfg.task.image_side < 8 or not cfg.task.images:
+    if cfg.task.image_side < tasks.SSIM_WINDOW or not cfg.task.images:
         return psnrs, None
     return psnrs, [tasks.ssim(np.clip(x, 0.0, 1.0), ref) for x, ref in zip(samples, truth)]
 
 
 def cmd_train(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = with_seed(cfg, "train", args.seed)
-    out = _prepare_output_dir(args.output or cfg.run.output_dir)
-    _snapshot(cfg, out)
-    _log(out, f"train start run_id={cfg.run.run_id}")
+    cfg, out = _start_run(args, "train", "train start run_id={run_id}")
 
     sys_ = tasks.build_system(cfg.task)
     data = tasks.make_dataset(cfg.task, cfg.task.n_train, cfg.task.data_seed)
@@ -197,12 +202,7 @@ def cmd_sample(args) -> int:
         raise ConfigError("sample takes --simulate or --measurements, not both")
     if args.oracle_denoiser and args.checkpoint:
         raise ConfigError("sample takes --oracle-denoiser or --checkpoint, not both")
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = with_seed(cfg, "sample", args.seed)
-    out = _prepare_output_dir(args.output or cfg.run.output_dir)
-    _snapshot(cfg, out)
-    _log(out, "sample start")
+    cfg, out = _start_run(args, "sample", "sample start")
 
     sys_, measure = tasks.deploy(cfg.task)
     spec = cfg.schedule
@@ -284,12 +284,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_misspec(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = with_seed(cfg, "eval", args.seed)
-    out = _prepare_output_dir(args.output or cfg.run.output_dir)
-    _snapshot(cfg, out)
-    _log(out, "misspec start")
+    cfg, out = _start_run(args, "eval", "misspec start")
 
     param = args.param if args.param else cfg.eval.param
     if args.values:

@@ -322,11 +322,11 @@ def adam_init(p: np.ndarray) -> AdamState:
     return AdamState(*(_aligned_zeros(np.shape(p)) for _ in range(3)))
 
 
-def adam_step(p, g, state: AdamState, lr, beta1, beta2, eps=1e-8):
+def adam_step(p, g, state: AdamState, lr, beta1, beta2):
     """One Adam update of the array p, in place.
 
     The ops are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, in that order, written
+    and ``p -= lr (m / c1) / (sqrt(v / c2) + 1e-8)``, in that order, written
     into m, v, the state's scratch and g: on return g holds the step that
     was subtracted from p.
     """
@@ -345,7 +345,7 @@ def adam_step(p, g, state: AdamState, lr, beta1, beta2, eps=1e-8):
     g *= lr
     np.divide(v, c2, out=s)
     np.sqrt(s, out=s)
-    s += eps
+    s += 1e-8
     g /= s
     p -= g
 

@@ -71,16 +71,16 @@ def simulate_forward_sde(
     x0,
     n_steps: int,
     rng,
-    checkpoint_times=None,
+    checkpoint_times=(),
 ):
     """Euler-Maruyama integration of the forward SDE over the clipped interval.
 
     The state is seeded at t = eps2 with the exact closed-form marginal
     (the SDE's marginal claims only hold on the clipped interval, so the
     start must carry the eps2 marginal).  Each update takes its draws from
-    ``rng`` through `linop.draw_noise`.  Returns the state at t = 1 - eps1,
-    or with ``checkpoint_times`` given (final, {time: state}) where each
-    recorded time is the first grid point at or past the requested one.
+    ``rng`` through `linop.draw_noise`.  Returns (final, {time: state}): the
+    state at t = 1 - eps1, and the state at each of ``checkpoint_times``,
+    recorded at the first grid point at or past the requested time.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -90,7 +90,7 @@ def simulate_forward_sde(
 
     x = forward_sample(sys, evaluate(spec, t0), x0, linop.draw_noise(sys, rng, x0.shape))
 
-    remaining = sorted(checkpoint_times) if checkpoint_times else []
+    remaining = sorted(checkpoint_times)
     recorded = {}
     for k in range(n_steps):
         t = t0 + k * dt
@@ -103,6 +103,4 @@ def simulate_forward_sde(
         t_next = t0 + (k + 1) * dt
         while remaining and t_next >= remaining[0] - 1e-12:
             recorded[remaining.pop(0)] = x.copy()
-    if checkpoint_times:
-        return x, recorded
-    return x
+    return x, recorded

@@ -57,33 +57,27 @@ def sigmoid_contrast_system(d: int, k: float = 4.0, a: float = 0.5) -> Nonlinear
     )
 
 
-def affine_system(a: np.ndarray, b=None) -> NonlinearSystem:
-    """Wrap A x + b as a NonlinearSystem (test and pipeline-equivalence aid)."""
+def affine_system(a: np.ndarray) -> NonlinearSystem:
+    """Wrap the linear map A x as a NonlinearSystem (pipeline-equivalence aid)."""
     a = np.asarray(a, dtype=np.float64)
     m, d = a.shape
-    offset = np.zeros(m) if b is None else np.asarray(b, dtype=np.float64)
-
     return NonlinearSystem(
         m=m,
         d=d,
-        apply=lambda x: np.asarray(x, dtype=np.float64) @ a.T + offset,
+        apply=lambda x: np.asarray(x, dtype=np.float64) @ a.T,
         jvp=lambda x, v: np.asarray(v, dtype=np.float64) @ a.T,
         vjp=lambda x, u: np.asarray(u, dtype=np.float64) @ a,
     )
 
 
-def mle_init(nsys: NonlinearSystem, y, n_iters: int = 5, step: float = 0.5, x0=None):
-    """Fixed-step gradient descent on || A(x) - y ||^2.
+def mle_init(nsys: NonlinearSystem, y):
+    """Gradient descent on || A(x) - y ||^2: five steps of size 0.5 from zero.
 
-    Starts from zero unless x0 is given and returns the best iterate seen,
-    so the returned residual never exceeds the starting one.
+    Returns the best iterate seen, so the returned residual never exceeds
+    the starting one.
     """
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
-    if step <= 0:
-        raise ValueError("step must be > 0")
     y = np.asarray(y, dtype=np.float64)
-    x = np.zeros(nsys.d) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(nsys.d)
 
     def residual(xc):
         r = nsys.apply(xc) - y
@@ -91,14 +85,12 @@ def mle_init(nsys: NonlinearSystem, y, n_iters: int = 5, step: float = 0.5, x0=N
 
     r, best_val = residual(x)
     best_x = x.copy()
-    for it in range(n_iters):
+    for it in range(5):
         grad = 2.0 * nsys.vjp(x, r)
-        x = x - step * grad
+        x = x - 0.5 * grad
         r, val = residual(x)
         if not np.isfinite(val):
-            raise NumericalError(
-                f"mle_init diverged at iteration {it + 1}; try a smaller step than {step}"
-            )
+            raise NumericalError(f"mle_init diverged at iteration {it + 1}")
         if val < best_val:
             best_val = val
             best_x = x.copy()
@@ -133,9 +125,10 @@ def linearized_measurement(nsys: NonlinearSystem, sys: LinearSystem, x_hat, y) -
     return np.asarray(y, dtype=np.float64) + correction
 
 
-def localize(nsys: NonlinearSystem, y, sigma_half=0.0, n_iters: int = 5, step: float = 0.5):
-    """The full three-step reduction: (linear system, adjusted measurement, x_hat)."""
-    x_hat = mle_init(nsys, y, n_iters=n_iters, step=step)
-    sys = linearize(nsys, x_hat, sigma_half=sigma_half)
+def localize(nsys: NonlinearSystem, y):
+    """The full three-step reduction: (linear system, adjusted measurement,
+    x_hat), with `mle_init`'s estimate and a noiseless linear system."""
+    x_hat = mle_init(nsys, y)
+    sys = linearize(nsys, x_hat)
     y_lin = linearized_measurement(nsys, sys, x_hat, y)
     return sys, y_lin, x_hat

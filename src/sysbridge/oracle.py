@@ -53,7 +53,7 @@ def _sym(mat):
     return 0.5 * (mat + mat.T)
 
 
-def _psd_pinv(mat, tol=_PSD_TOL):
+def _psd_pinv(mat):
     """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition.
 
     Returns (pinv, range_projector, is_singular).
@@ -61,7 +61,7 @@ def _psd_pinv(mat, tol=_PSD_TOL):
     sym = _sym(mat)
     evals, evecs = np.linalg.eigh(sym)
     scale = max(float(np.max(np.abs(evals))), 1.0)
-    keep = evals > tol * scale
+    keep = evals > _PSD_TOL * scale
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
     pinv = (evecs * inv) @ evecs.T
     proj = (evecs * keep.astype(float)) @ evecs.T

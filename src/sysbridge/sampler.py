@@ -243,7 +243,7 @@ def sample(
     batch at once.  ``rng`` (by default seeded with config.seed) draws the
     chain start's z, then each step's `linop.draw_noise` after its denoiser
     call.  Checkpoints are retained every config.keep_every steps when that
-    is nonzero.  A step that leaves a non-finite state raises
+    is nonzero, each at the grid time its step ended on.  A step that leaves a non-finite state raises
     `DivergenceError` with its index and time.
     """
     spec = config.spec
@@ -258,8 +258,8 @@ def sample(
     locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
 
     states = [] if config.keep_every else None
-    t_kept = spec.t_max
-    for k, step in enumerate(_step_plan(spec, config.n_steps, config.time_grid)):
+    plan = _step_plan(spec, config.n_steps, config.time_grid)
+    for k, step in enumerate(plan):
         denoised = denoiser(x, step.t)
         x = reverse_step(sys, step, x, denoised, linop.draw_noise(sys, rng, x.shape), locked_range)
         if not np.isfinite(x).all():
@@ -269,8 +269,8 @@ def sample(
                 step=k,
                 t=step.t,
             )
-        t_kept -= step.dt
         if states is not None and (k + 1) % config.keep_every == 0:
-            states.append(ProcessState(x=x.copy(), t=t_kept))
+            t_end = plan[k + 1].t if k + 1 < len(plan) else spec.t_min
+            states.append(ProcessState(x=x.copy(), t=t_end))
 
     return SampleTrace(final=x, states=states)

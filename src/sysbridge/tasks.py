@@ -422,8 +422,12 @@ def psnr(x, ref) -> float:
     return 10.0 * math.log10(1.0 / max(mse, floor))
 
 
-def ssim(x, ref, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) -> float:
-    """Mean local structural similarity with a uniform window, peak 1.0."""
+SSIM_WINDOW = 8
+
+
+def ssim(x, ref) -> float:
+    """Mean local structural similarity over uniform SSIM_WINDOW x SSIM_WINDOW
+    windows, with c1 = 0.01^2 and c2 = 0.03^2; peak 1.0."""
     x = np.asarray(x, dtype=np.float64)
     ref = np.asarray(ref, dtype=np.float64)
     if x.shape != ref.shape:
@@ -431,6 +435,7 @@ def ssim(x, ref, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) 
     side = int(round(math.sqrt(x.size)))
     if side * side != x.size:
         raise DimensionError(f"ssim: {x.size} values do not form a square image")
+    window = SSIM_WINDOW
     if window > side:
         raise DimensionError(f"ssim: window {window} larger than image side {side}")
     a = x.reshape(side, side)
@@ -445,6 +450,7 @@ def ssim(x, ref, window: int = 8, c1: float = 0.01 ** 2, c2: float = 0.03 ** 2) 
     var_a = wa.var(axis=1)
     var_b = wb.var(axis=1)
     cov = (wa * wb).mean(axis=1) - mu_a * mu_b
+    c1, c2 = 0.01 ** 2, 0.03 ** 2
     num = (2 * mu_a * mu_b + c1) * (2 * cov + c2)
     den = (mu_a ** 2 + mu_b ** 2 + c1) * (var_a + var_b + c2)
     return float(np.mean(num / den))

@@ -1,9 +1,10 @@
 """Named verification suites with fixed seeds.
 
-Each suite returns CheckResult rows (suite, check, value, tolerance,
-status); `SUITES` maps each suite name to its function.  The command-line
-``verify`` subcommand prints them as CSV and the acceptance tests assert on
-them, so the checked quantities and tolerances live in exactly one place.
+Each suite takes no arguments and returns CheckResult rows (suite, check,
+value, tolerance, status); `SUITES` maps each suite name to its function.
+The command-line ``verify`` subcommand prints them as CSV and the acceptance
+tests assert on them, so the checked quantities, their sizes and their
+tolerances live in exactly one place.
 """
 
 from __future__ import annotations
@@ -69,12 +70,12 @@ def _penrose_instances(kind: str, index: int):
     )
 
 
-def suite_penrose(n_instances: int = 20) -> List[CheckResult]:
+def suite_penrose() -> List[CheckResult]:
     """Four Penrose identities for every operator kind, materialized densely."""
     rows = []
     for kind in ("dense", "mask", "avgpool", "truncated_svd", "fourier_mask"):
         worst = 0.0
-        for i in range(n_instances):
+        for i in range(20):
             sys = _penrose_instances(kind, i)
             a = linop.materialize(sys)
             a_pinv = linop.materialize_pinv(sys)
@@ -83,21 +84,21 @@ def suite_penrose(n_instances: int = 20) -> List[CheckResult]:
     return rows
 
 
-def suite_g2(n_pairs: int = 5, n_grid: int = 1001) -> List[CheckResult]:
+def suite_g2() -> List[CheckResult]:
     """Null diffusion rate equals the defining rate for the sb variant."""
     rng = np.random.default_rng(7)
     rows = []
-    for i in range(n_pairs):
+    for i in range(5):
         b0 = float(rng.uniform(0.01, 1.0))
         b1 = float(rng.uniform(0.01, 1.0))
         spec = schedule.ScheduleSpec("sb", b0=b0, b1=b1)
-        grid = np.linspace(spec.t_min, spec.t_max, n_grid)
+        grid = np.linspace(spec.t_min, spec.t_max, 1001)
         resid = schedule.verify_g2_identity(spec, grid)
         rows.append(CheckResult("g2", f"b0={b0:.3f};b1={b1:.3f}", resid, 1e-8))
     return rows
 
 
-def suite_marginals(n_traj: int = 20000, n_steps: int = 2000) -> List[CheckResult]:
+def suite_marginals() -> List[CheckResult]:
     """Simulated forward marginals match the closed form on a dense system."""
     rng = np.random.default_rng(3)
     d = 4
@@ -108,9 +109,9 @@ def suite_marginals(n_traj: int = 20000, n_steps: int = 2000) -> List[CheckResul
     for variant in schedule.VARIANTS:
         spec = schedule.ScheduleSpec(variant)
         checks = [0.2, 0.5, 0.8, spec.t_max]
-        x0b = np.broadcast_to(x0, (n_traj, d)).copy()
+        x0b = np.broadcast_to(x0, (20000, d)).copy()
         _, rec = forward.simulate_forward_sde(
-            sys, spec, x0b, n_steps, np.random.default_rng(99), checkpoint_times=checks
+            sys, spec, x0b, 2000, np.random.default_rng(99), checkpoint_times=checks
         )
         for t in checks:
             xs = rec[t]
@@ -125,9 +126,9 @@ def suite_marginals(n_traj: int = 20000, n_steps: int = 2000) -> List[CheckResul
     return rows
 
 
-def posterior_problem(seed: int = 42):
+def posterior_problem():
     """Fixed random conjugate-Gaussian toy: d=4, m=2, scalar noise 0.25 I."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(42)
     d, m = 4, 2
     a = rng.standard_normal((m, d))
     sys = linop.build_dense_system(a, sigma_half=0.5)
@@ -140,7 +141,7 @@ def posterior_problem(seed: int = 42):
     return sys, prior, y
 
 
-def suite_posterior(n_chains: int = 20000, n_steps: int = 1000) -> List[CheckResult]:
+def suite_posterior() -> List[CheckResult]:
     """Reverse sampling with the exact denoiser hits the conjugate posterior."""
     sys, prior, y = posterior_problem()
     post = oracle.gaussian_posterior(prior, sys, y)
@@ -152,10 +153,8 @@ def suite_posterior(n_chains: int = 20000, n_steps: int = 1000) -> List[CheckRes
     ):
         spec = schedule.ScheduleSpec(variant, **kw)
         den = oracle.oracle_denoiser(prior, sys, spec)
-        cfg = sampler.SamplerConfig(
-            n_steps=n_steps, spec=spec, seed=123, time_grid="stiffness"
-        )
-        xs = sampler.sample(sys, cfg, y, den, n_chains=n_chains).final
+        cfg = sampler.SamplerConfig(n_steps=1000, spec=spec, seed=123, time_grid="stiffness")
+        xs = sampler.sample(sys, cfg, y, den, n_chains=20000).final
         mean_err = np.linalg.norm(xs.mean(axis=0) - post.mean) / np.linalg.norm(post.mean)
         cov_err = np.linalg.norm(np.cov(xs.T) - post.cov) / np.linalg.norm(post.cov)
         rows.append(CheckResult("posterior", f"{variant};mean", mean_err, 0.02))
@@ -163,7 +162,7 @@ def suite_posterior(n_chains: int = 20000, n_steps: int = 1000) -> List[CheckRes
     return rows
 
 
-def suite_gradients(n_points: int = 20, h: float = 1e-5) -> List[CheckResult]:
+def suite_gradients() -> List[CheckResult]:
     """Reverse-mode parameter gradients against central finite differences."""
     d = 6
     sys = linop.build_dense_system(
@@ -175,7 +174,8 @@ def suite_gradients(n_points: int = 20, h: float = 1e-5) -> List[CheckResult]:
     point_rng = np.random.default_rng(21)
     worst = 0.0
     done = 0
-    while done < n_points:
+    h = 1e-5  # central-difference step
+    while done < 20:
         x0 = point_rng.standard_normal(d)
         t = point_rng.uniform(spec.t_min, spec.t_max)
         noise_seed = int(point_rng.integers(0, 2 ** 31))
@@ -207,19 +207,19 @@ def suite_gradients(n_points: int = 20, h: float = 1e-5) -> List[CheckResult]:
     return [CheckResult("gradients", "reverse_mode_vs_fd", worst, 1e-4)]
 
 
-def suite_otode(n_steps: int = 500) -> List[CheckResult]:
+def suite_otode() -> List[CheckResult]:
     """Vanishing-diffusion null trajectory follows the alpha interpolation."""
     spec = schedule.ScheduleSpec("sb", b0=1e-4, b1=1e-4)
     sys = linop.build_dense_system(np.array([[1.0, 0.0]]))
     x0 = np.array([0.7, -1.3])
     y = sys.apply(x0)
-    cfg = sampler.SamplerConfig(n_steps=n_steps, spec=spec, seed=0, keep_every=1)
+    cfg = sampler.SamplerConfig(n_steps=500, spec=spec, seed=0, keep_every=1)
     trace = sampler.sample(sys, cfg, y, lambda x, t: np.broadcast_to(x0, x.shape), rng=_ZeroRng())
     null_target = linop.project_null(sys, x0)
     path_len = float(np.linalg.norm(null_target))
     worst = 0.0
     for state in trace.states:
-        coeffs = schedule.evaluate(spec, max(state.t, spec.t_min))
+        coeffs = schedule.evaluate(spec, state.t)
         ref = coeffs.alpha * null_target
         dev = float(np.linalg.norm(linop.project_null(sys, state.x) - ref))
         worst = max(worst, dev / path_len)

@@ -24,7 +24,7 @@ def report(num, name, passed, detail):
 
 def test_criterion_01_pseudoinverse_penrose():
     t0 = time.time()
-    rows = verification.suite_penrose(n_instances=20)
+    rows = verification.suite_penrose()
     worst = max(r.value for r in rows)
     elapsed = time.time() - t0
     report(
@@ -36,7 +36,7 @@ def test_criterion_01_pseudoinverse_penrose():
 
 def test_criterion_02_forward_marginal_consistency():
     t0 = time.time()
-    rows = verification.suite_marginals(n_traj=20_000, n_steps=2000)
+    rows = verification.suite_marginals()
     worst = max(r.value for r in rows)
     elapsed = time.time() - t0
     report(
@@ -48,7 +48,7 @@ def test_criterion_02_forward_marginal_consistency():
 
 def test_criterion_03_null_rate_identity():
     t0 = time.time()
-    rows = verification.suite_g2(n_pairs=5, n_grid=1001)
+    rows = verification.suite_g2()
     worst = max(r.value for r in rows)
     elapsed = time.time() - t0
     report(
@@ -71,7 +71,7 @@ def test_criterion_04_vanishing_diffusion_straight_path():
 
 def test_criterion_05_posterior_sampling():
     t0 = time.time()
-    rows = verification.suite_posterior(n_chains=20_000, n_steps=1000)
+    rows = verification.suite_posterior()
     elapsed = time.time() - t0
     detail = "; ".join(f"{r.check} {r.value:.4f}/{r.tolerance}" for r in rows)
     report(
@@ -118,7 +118,7 @@ def test_criterion_06_score_decomposition():
 
 def test_criterion_07_gradient_correctness():
     t0 = time.time()
-    rows = verification.suite_gradients(n_points=20)
+    rows = verification.suite_gradients()
     elapsed = time.time() - t0
     report(
         7, "reverse-mode gradients vs finite differences",
@@ -260,7 +260,7 @@ def test_criterion_11_nonlinear_extension():
     x_true = rng.uniform(0.2, 0.8, size=8)
     y = nsys.apply(x_true)
     x0_resid = float(np.sum((nsys.apply(np.zeros(8)) - y) ** 2))
-    x_mle = nonlinear.mle_init(nsys, y, n_iters=5, step=0.5)
+    x_mle = nonlinear.mle_init(nsys, y)
     mle_resid = float(np.sum((nsys.apply(x_mle) - y) ** 2))
 
     # reduced pipeline on an affine operator is bit-identical to direct

@@ -1008,6 +1008,21 @@ def test_contrast_task_end_to_end(tmp_path):
     assert np.all(np.isfinite(samples))
 
 
+def test_each_run_snapshots_its_config_and_logs_its_start(tmp_path):
+    cfg, _ = write_config(tmp_path, CONTRAST_INI)
+    ckpt = str(tmp_path / "train" / "checkpoint.ckpt")
+    runs = {
+        "train": (["train", "--config", str(cfg), "--seed", "3"], "train start run_id=contrast-toy"),
+        "sample": (["sample", "--config", str(cfg), "--checkpoint", ckpt, "--simulate"], "sample start"),
+    }
+    for name, (argv, start) in runs.items():
+        dest = tmp_path / name
+        assert cli.main([*argv, "--output", str(dest)]) == 0
+        assert (dest / "run.log").read_text(encoding="utf-8").splitlines()[0].endswith(f"] {start}")
+        assert (dest / "config_resolved.ini").is_file()
+    assert parse_config(tmp_path / "train" / "config_resolved.ini").train.seed == 3
+
+
 def test_contrast_task_above_dense_limit_exit_2_with_one_line(tmp_path, capsys):
     text = "[task]\ntask = contrast\nsignal_dim = 300\ndataset = gaussian\n"
     cfg, _ = write_config(tmp_path, text)

@@ -239,7 +239,7 @@ class TestSimulator:
         spec = schedule.ScheduleSpec("sb", b0=0.1, b1=0.1, eps1=0.05)
         sys = mask_system()
         x0 = np.zeros((20_000, 2))
-        xs = forward.simulate_forward_sde(sys, spec, x0, 1000, np.random.default_rng(1))
+        xs, _ = forward.simulate_forward_sde(sys, spec, x0, 1000, np.random.default_rng(1))
         beta_end = schedule.evaluate(spec, spec.t_max).beta
         assert xs[:, 1].var() == pytest.approx(beta_end, rel=0.05)
 

@@ -282,16 +282,14 @@ def per_step_sample(sys, config, y, denoiser):
     locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None
     grid = sampler.time_grid(spec, config.n_steps, config.time_grid)
     kept = []
-    t_kept = spec.t_max
     for k in range(config.n_steps):
         t = grid[k]
         dt = t - grid[k + 1]
         step = sampler.plan_step(schedule.evaluate(spec, t), dt)
         denoised = denoiser(x, t)
         x = sampler.reverse_step(sys, step, x, denoised, linop.draw_noise(sys, rng, x.shape), locked_range)
-        t_kept -= dt
         if config.keep_every and (k + 1) % config.keep_every == 0:
-            kept.append((x.copy(), t_kept))
+            kept.append((x.copy(), grid[k + 1]))
     return x, kept
 
 
@@ -518,6 +516,26 @@ class TestSample:
         trace = sampler.sample(sys, cfg, np.array([0.5]), lambda x, t: x)
         assert len(trace.states) == 5
         assert trace.states[-1].t == pytest.approx(schedule.ScheduleSpec("vp").t_min)
+
+    @pytest.mark.parametrize("variant, eps, grid, n_steps, keep_every", [
+        ("sb", 1e-5, "uniform", 11, 11),
+        ("sb", 1e-5, "uniform", 11, 1),
+        ("vp", 0.3, "uniform", 999, 333),
+        ("ve", 1e-3, "stiffness", 37, 37),
+        ("sb", 0.1, "stiffness", 12, 4),
+    ])
+    def test_kept_times_are_grid_points(self, variant, eps, grid, n_steps, keep_every):
+        spec = schedule.ScheduleSpec(variant, eps1=eps, eps2=eps)
+        cfg = sampler.SamplerConfig(
+            n_steps=n_steps, spec=spec, seed=0, keep_every=keep_every, time_grid=grid
+        )
+        trace = sampler.sample(mask_system(), cfg, np.array([0.5]), lambda x, t: x)
+        points = sampler.time_grid(spec, n_steps, grid)
+        assert [s.t for s in trace.states] == [
+            points[(k + 1) * keep_every] for k in range(n_steps // keep_every)
+        ]
+        assert trace.states[-1].t == spec.t_min
+        schedule.evaluate(spec, trace.states[-1].t)
 
     def test_posterior_moments_small_scale(self):
         # scaled-down version of the full posterior verification
