@@ -29,6 +29,13 @@ pairs the change was lower, and a verdict per end-to-end metric of
 
 Each side also records the size of its package source, the per-file and
 total line counts of ``wc -l src/sysbridge/*.py``.
+
+The script prints one summary line per metric: both medians, the pairs the
+change won, the verdict, and the parent's IQR as a percentage of its median,
+next to the metric's bound where it has one, so that an ``unresolved``
+verdict shows at a glance how far the parent's spread exceeds the bound::
+
+    setup_s: parent 0.0008 change 0.001 lower in 3/10: unresolved; parent IQR 27 % of median, bound 25 %
 """
 
 from __future__ import annotations
@@ -155,6 +162,22 @@ def compare(parent_runs, change_runs):
     return parent, change, out
 
 
+def summary_lines(record) -> list:
+    """One line per metric of a record: medians, pairs won, verdict, and the
+    parent's IQR as a percentage of its median beside the metric's bound."""
+    bounds = end_to_end_bounds()
+    lines = []
+    for name, cmp in record["comparison"].items():
+        parent, change = record["parent"]["summary"][name], record["change"]["summary"][name]
+        spread = (f"parent IQR {100 * parent['iqr'] / abs(parent['median']):.0f} % of median"
+                  if parent["median"] else f"parent IQR {parent['iqr']:.4g}, median 0")
+        bound = f", bound {100 * bounds[name][0]:.0f} %" if name in bounds else ""
+        lines.append(f"{name}: parent {parent['median']:.4g} change {change['median']:.4g} "
+                     f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}: {cmp['verdict']}; "
+                     f"{spread}{bound}")
+    return lines
+
+
 def record_pairs(workload: str, seed: int, parent_rev: str, checkouts: dict) -> dict:
     """The record of PAIRS alternating runs of the ``checkouts`` of each side,
     {"parent": path, "change": path}."""
@@ -206,10 +229,7 @@ def main(argv=None) -> int:
 
     out = Path(args.output) if args.output else ROOT / f"BENCH_{args.workload}.json"
     out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    for name, cmp in record["comparison"].items():
-        parent, change = record["parent"]["summary"][name], record["change"]["summary"][name]
-        print(f"{name}: parent {parent['median']:.4g} change {change['median']:.4g} "
-              f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}: {cmp['verdict']}")
+    print("\n".join(summary_lines(record)))
     lines = [record[side]["src_lines"]["total"] for side in ("parent", "change")]
     print(f"src/sysbridge lines: parent {lines[0]} change {lines[1]}")
     print(f"written to {out}")

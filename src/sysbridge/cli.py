@@ -92,18 +92,20 @@ def _log(out: Path, message: str):
         fh.write(f"[{time.strftime('%Y-%m-%dT%H:%M:%S')}] {message}\n")
 
 
-def _start_run(args, section: str, what: str) -> Tuple[ExperimentConfig, Path]:
-    """(config, output directory) of a run: the parsed config with ``--seed``
-    applied to ``section``, its output directory prepared, the resolved
-    config written there and the start message ``what`` logged, with
-    ``{run_id}`` filled in."""
+def _read_config(args, section: str) -> ExperimentConfig:
+    """The parsed config with ``--seed`` applied to ``section``."""
     cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg = with_seed(cfg, section, args.seed)
+    return cfg if args.seed is None else with_seed(cfg, section, args.seed)
+
+
+def _start_run(args, cfg: ExperimentConfig, what: str) -> Path:
+    """The run's output directory, prepared, with the resolved config written
+    and the start ``what`` logged (``{run_id}`` filled in).  Commands call it
+    after every usage check, so a refused run leaves no directory."""
     out = _prepare_output_dir(args.output or cfg.run.output_dir)
     (out / "config_resolved.ini").write_text(serialize_config(cfg), encoding="utf-8")
     _log(out, what.format(run_id=cfg.run.run_id))
-    return cfg, out
+    return out
 
 
 def _metric_row(cfg, perturbation, psnr_val, ssim_val, n_samples, seed):
@@ -133,7 +135,8 @@ def _scores(cfg, samples, truth):
 
 
 def cmd_train(args) -> int:
-    cfg, out = _start_run(args, "train", "train start run_id={run_id}")
+    cfg = _read_config(args, "train")
+    out = _start_run(args, cfg, "train start run_id={run_id}")
 
     sys_ = tasks.build_system(cfg.task)
     data = tasks.make_dataset(cfg.task, cfg.task.n_train, cfg.task.data_seed)
@@ -200,22 +203,24 @@ def _checkpoint_denoiser(path, cfg: ExperimentConfig, d: int):
 def cmd_sample(args) -> int:
     if args.simulate and args.measurements:
         raise ConfigError("sample takes --simulate or --measurements, not both")
+    if not (args.simulate or args.measurements):
+        raise ConfigError("sample requires --simulate or --measurements PATH")
     if args.oracle_denoiser and args.checkpoint:
         raise ConfigError("sample takes --oracle-denoiser or --checkpoint, not both")
-    cfg, out = _start_run(args, "sample", "sample start")
-
+    if not (args.oracle_denoiser or args.checkpoint):
+        raise ConfigError("sample requires --checkpoint (or --oracle-denoiser)")
+    cfg = _read_config(args, "sample")
     sys_, measure = tasks.deploy(cfg.task)
     spec = cfg.schedule
-
     if args.oracle_denoiser:
         prior = tasks.gaussian_prior(cfg.task)
         if prior is None:
             raise ConfigError("--oracle-denoiser requires a dataset with an analytic prior (gaussian or field)")
         denoise = oracle.oracle_denoiser(prior, sys_, spec)
     else:
-        if not args.checkpoint:
-            raise ConfigError("sample requires --checkpoint (or --oracle-denoiser)")
         denoise = _checkpoint_denoiser(args.checkpoint, cfg, sys_.d)
+    y = None if args.simulate else _load_measurements(args.measurements, sys_.m)
+    out = _start_run(args, cfg, "sample start")
 
     rng = np.random.default_rng(cfg.sample.seed)
     x_truth = None
@@ -225,10 +230,6 @@ def cmd_sample(args) -> int:
         if args.oracle_denoiser:
             # posterior diagnostics sample many chains for a single measurement
             x_truth, y = x_truth[:1], np.repeat(y[:1], cfg.sample.n_samples, axis=0)
-    elif args.measurements:
-        y = _load_measurements(args.measurements, sys_.m)
-    else:
-        raise ConfigError("sample requires --simulate or --measurements PATH")
 
     trace = sampler.sample(sys_, cfg.sample, y, denoise, rng=rng)
     samples = trace.final
@@ -284,8 +285,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_misspec(args) -> int:
-    cfg, out = _start_run(args, "eval", "misspec start")
-
+    if not args.checkpoint:
+        raise ConfigError("misspec requires --checkpoint")
+    cfg = _read_config(args, "eval")
     param = args.param if args.param else cfg.eval.param
     if args.values:
         values = parse_value("--values", args.values, Tuple[float, ...])
@@ -295,8 +297,6 @@ def cmd_misspec(args) -> int:
     else:
         values = cfg.eval.values
 
-    if not args.checkpoint:
-        raise ConfigError("misspec requires --checkpoint")
     if values and not param:
         raise ConfigError("--values need a sweep parameter: set [eval] param or --param")
     if cfg.task.task not in tasks.TASKS:
@@ -307,6 +307,7 @@ def cmd_misspec(args) -> int:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc
     train_sys = tasks.build_system(cfg.task)
     denoise = _checkpoint_denoiser(args.checkpoint, cfg, train_sys.d)
+    out = _start_run(args, cfg, "misspec start")
     x0 = tasks.make_dataset(cfg.task, cfg.eval.n_draws, cfg.eval.seed + 1)
     rows, summary = [], []
     for value, (deployed, measure) in zip(values, deployments):

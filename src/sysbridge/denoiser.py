@@ -25,8 +25,11 @@ order of the textbook formulas (``z = a @ w + b``, ``(1 - b1) g``,
 ``lr (m / c1) / (sqrt(v / c2) + eps)``, ...), only written into existing
 buffers, and elementwise results do not depend on how arrays are grouped.
 So the losses, trained parameters and checkpoints are the same bytes as
-with one temporary per op and one Adam update per array.  Checkpoints keep
-one tensor record per parameter array.
+with one temporary per op and one Adam update per array.  The backward pass
+reads what the training forward kept, and calls no exp or tanh: relu's and
+tanh's activation a (``a > 0``, which is ``z > 0``; ``1 - a a``), and SiLU's
+z and sigmoid s (``s (1 + z (1 - s))``).  Inference keeps no tape.
+Checkpoints keep one tensor record per parameter array.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ ACTIVATIONS = ("relu", "tanh", "silu")
 # the time embedding: sin and cos of 2 pi 2^j t for j < TIME_FREQS, so a
 # net's input is the signal and 2 * TIME_FREQS = 16 time features
 TIME_FREQS = 8
+# 2 pi 2^j: a geometric ladder of 1, 2, 4, ... cycles over the unit interval
+_ANGULAR = 2.0 * np.pi * (2.0 ** np.arange(TIME_FREQS, dtype=np.float64))
 
 
 def _param_shapes(layer_dims) -> List[tuple]:
@@ -157,10 +162,12 @@ class TrainConfig:
 
 
 def time_features(t: float) -> np.ndarray:
-    # geometric frequency ladder: 1, 2, 4, ... cycles over the unit interval
-    j = np.arange(TIME_FREQS, dtype=np.float64)
-    ang = 2.0 * np.pi * (2.0 ** j) * t
-    return np.concatenate([np.sin(ang), np.cos(ang)])
+    """[sin(2 pi 2^j t), cos(2 pi 2^j t)] for j < TIME_FREQS, in one vector."""
+    ang = _ANGULAR * t
+    feats = np.empty(2 * TIME_FREQS)
+    np.sin(ang, out=feats[:TIME_FREQS])
+    np.cos(ang, out=feats[TIME_FREQS:])
+    return feats
 
 
 def init_net(d: int, hidden: Sequence[int], activation: str = "silu", seed: int = 0) -> DenoiserNet:
@@ -173,43 +180,44 @@ def init_net(d: int, hidden: Sequence[int], activation: str = "silu", seed: int 
     return net
 
 
-def _act(name, z):
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    # z * (1 / (1 + exp(-z))) in one buffer, bit for bit
-    out = np.negative(z)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    out *= z
-    return out
+def _act(name, z, keep=False):
+    """(act(z), what `_act_grad` reads besides it), bit for bit the textbook formula.
 
-
-def _act_grad(name, z, out):
-    """act'(z), bit for bit the textbook formula, computed in out (z's shape).
-
-    SiLU needs one more buffer, which it returns instead of out.
+    ReLU and tanh write act(z) over z.  SiLU puts its sigmoid s = 1 / (1 +
+    exp(-z)) in a new buffer and then s * z over s, or, to ``keep`` (z, s)
+    for the derivative, into one more buffer.
     """
     if name == "relu":
-        # (z > 0) as 0.0 / 1.0
-        return np.greater(z, 0.0, out=out)
+        return np.maximum(z, 0.0, out=z), None
     if name == "tanh":
-        # 1 - th * th with th = tanh(z)
-        np.tanh(z, out=out)
-        out *= out
-        return np.subtract(1.0, out, out=out)
-    # s * (1 + z * (1 - s)) with s = 1 / (1 + exp(-z)), s held in out
-    np.negative(z, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    g = np.subtract(1.0, out)
-    g *= z
-    g += 1.0
-    g *= out
-    return g
+        return np.tanh(z, out=z), None
+    s = np.negative(z)
+    np.exp(s, out=s)
+    s += 1.0
+    np.reciprocal(s, out=s)
+    if keep:
+        return s * z, (z, s)
+    s *= z
+    return s, None
+
+
+def _act_grad(name, a, saved):
+    """act'(z), bit for bit the textbook formula, written over the activation a.
+
+    Reads a for relu (``a > 0`` as 0.0 / 1.0) and tanh (``1 - a * a``), and
+    SiLU's saved (z, s) (``s * (1 + z * (1 - s))``).
+    """
+    if name == "relu":
+        return np.greater(a, 0.0, out=a)
+    if name == "tanh":
+        a *= a
+        return np.subtract(1.0, a, out=a)
+    z, s = saved
+    np.subtract(1.0, s, out=a)
+    a *= z
+    a += 1.0
+    a *= s
+    return a
 
 
 @lru_cache(maxsize=4096)
@@ -231,19 +239,19 @@ def _input_features(x: np.ndarray, feats: np.ndarray) -> np.ndarray:
     return xin
 
 
-def _forward_tape(net: DenoiserNet, xin: np.ndarray):
-    """Returns (output, activations list, pre-activations list)."""
-    a = xin
-    acts = [a]
-    pres = []
+def _forward(net: DenoiserNet, a: np.ndarray, tape=None) -> np.ndarray:
+    """The net's output for the input features a.  Training passes a list
+    ``tape``, to which each layer appends (its input, what `_act` saved for
+    `_act_grad`); inference keeps no layer's values."""
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w
         z += b
-        pres.append(z)
-        a = z if l == last else _act(net.activation, z)
-        acts.append(a)
-    return a, acts, pres
+        out, saved = (z, None) if l == last else _act(net.activation, z, tape is not None)
+        if tape is not None:
+            tape.append((a, saved))
+        a = out
+    return a
 
 
 def forward_denoise(net: DenoiserNet, x, t: float) -> np.ndarray:
@@ -254,8 +262,7 @@ def forward_denoise(net: DenoiserNet, x, t: float) -> np.ndarray:
             f"forward_denoise: expected last axis {net.signal_dim}, got {x.shape}"
         )
     feats = _grid_time_features(float(t))
-    out, _, _ = _forward_tape(net, _input_features(x, feats))
-    return out
+    return _forward(net, _input_features(x, feats))
 
 
 def l1_loss_and_grad(net: DenoiserNet, x, t: float, target, grads) -> float:
@@ -269,19 +276,22 @@ def l1_loss_and_grad(net: DenoiserNet, x, t: float, target, grads) -> float:
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     batch = x.shape[0]
     feats = time_features(float(t))
-    out, acts, pres = _forward_tape(net, _input_features(x, feats))
+    tape = []
+    out = _forward(net, _input_features(x, feats), tape)
     resid = np.subtract(out, target, out=out)
-    loss = float(np.mean(np.sum(np.abs(resid), axis=-1)))
+    # np.mean's reduction, without its wrapper
+    loss = float(np.sum(np.abs(resid), axis=-1).sum() / batch)
     delta = np.sign(resid, out=resid)
     delta /= batch
 
-    # layer l's activation derivative overwrites acts[l + 1], whose last
-    # reader was the weight gradient of layer l + 1
+    # layer l's activation derivative overwrites its output, the input of
+    # layer l + 1, whose last reader was the weight gradient of layer l + 1
     last = len(net.weights) - 1
     for l in range(last, -1, -1):
+        a, saved = tape[l]
         if l != last:
-            delta *= _act_grad(net.activation, pres[l], acts[l + 1])
-        np.matmul(acts[l].T, delta, out=grads[2 * l])
+            delta *= _act_grad(net.activation, tape[l + 1][0], saved)
+        np.matmul(a.T, delta, out=grads[2 * l])
         delta.sum(axis=0, out=grads[2 * l + 1])
         if l:
             delta = delta @ net.weights[l].T

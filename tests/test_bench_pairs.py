@@ -63,6 +63,18 @@ def test_wide_parent_resolved_when_every_change_run_beats_it():
     assert cmp["time_vs_control"]["verdict"] == "within bound"
 
 
+def test_summary_line_shows_the_parent_spread_beside_the_bound():
+    # the parent's IQR is 0.02 on a median of 0.60: 3 % of it, under 20 %
+    parent = [run(r, 1.0) for r in (0.60, 0.58, 0.62, 0.59, 0.61)]
+    change = [run(r, 1.0) for r in (0.55, 0.53, 0.63, 0.54, 0.56)]
+    p, c, cmp = bench_pairs.compare(parent, change)
+    lines = bench_pairs.summary_lines({"parent": {"summary": p}, "change": {"summary": c},
+                                       "comparison": cmp})
+    assert lines[0] == ("time_vs_control: parent 0.6 change 0.55 lower in 4/5: within bound; "
+                        "parent IQR 3 % of median, bound 20 %")
+    assert lines[1].endswith("; parent IQR 0 % of median, bound 15 %")
+
+
 def test_metric_without_a_bound_has_no_verdict():
     def runs(value):
         return [{"result": {"metrics": {"steps": {"value": value + i, "unit": "count"}}}}

@@ -618,6 +618,44 @@ class TestMisspec:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+# usage errors that the arguments and the config decide; CKPT is a
+# checkpoint that fits the config, Y a measurement tensor that does not
+USAGE_ERRORS = {
+    "sample_without_checkpoint": (MEMORIZE_INI, ["sample", "--simulate"]),
+    "sample_without_source": (MEMORIZE_INI, ["sample", "--checkpoint", "CKPT"]),
+    "sample_with_two_sources": (MEMORIZE_INI, ["sample", "--checkpoint", "CKPT", "--simulate",
+                                               "--measurements", "Y"]),
+    "oracle_and_checkpoint": (GAUSS_TOY_INI, ["sample", "--oracle-denoiser", "--checkpoint", "CKPT",
+                                              "--simulate"]),
+    "oracle_without_prior": (MEMORIZE_INI, ["sample", "--oracle-denoiser", "--simulate"]),
+    "measurements_of_another_width": (MEMORIZE_INI, ["sample", "--checkpoint", "CKPT",
+                                                     "--measurements", "Y"]),
+    "misspec_without_checkpoint": (MEMORIZE_INI, ["misspec"]),
+    "misspec_vector_task": (GAUSS_TOY_INI, ["misspec", "--checkpoint", "CKPT"]),
+    "param_without_values": (_override(MRI_7_INI, "eval", param="noise_var", values="0.5"),
+                             ["misspec", "--checkpoint", "CKPT", "--param", "lambda1"]),
+    "values_without_param": (MEMORIZE_INI, ["misspec", "--checkpoint", "CKPT", "--values", "0.1"]),
+    "sweep_that_does_not_fit": (MEMORIZE_INI, ["misspec", "--checkpoint", "CKPT",
+                                               "--param", "tau", "--values", "0.1"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exit_2_with_one_line_and_no_output(tmp_path, capsys, case):
+    text, argv = USAGE_ERRORS[case]
+    cfg, out = write_config(tmp_path, text)
+    ckpt = tmp_path / "net.ckpt"
+    save_for(ckpt, dn.init_net(parse_config(cfg).task.d, hidden=(8,), seed=0), cfg)
+    tensorio.save_tensor(tmp_path / "y.sdbt", np.zeros((2, 3)))
+    paths = {"CKPT": str(ckpt), "Y": str(tmp_path / "y.sdbt")}
+    capsys.readouterr()
+    code = cli.main([argv[0], "--config", str(cfg), *(paths.get(a, a) for a in argv[1:])])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def _drop_header_line(blob, key):
     head, sep, tail = blob.partition(b"---\n")
     lines = [ln for ln in head.split(b"\n") if not ln.startswith(key.encode() + b"=")]

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sysbridge import denoiser as dn
-from sysbridge import forward, linop, schedule
+from sysbridge import forward, linop, sampler, schedule
 from sysbridge.errors import DimensionError
 
 
@@ -39,18 +39,54 @@ class TestForward:
         for i in range(7):
             np.testing.assert_allclose(batch[i], dn.forward_denoise(net, xs[i], 0.4))
 
+    @pytest.mark.parametrize("name", dn.ACTIVATIONS)
+    def test_bytes_match_textbook_forward(self, name):
+        # inference writes each activation over its layer's z; the input stays
+        net = dn.init_net(5, hidden=(16, 12), activation=name, seed=2)
+        x = np.random.default_rng(3).standard_normal((6, 5))
+        kept = x.copy()
+        a = dn._input_features(x, dn.time_features(0.3))
+        for l, (w, b) in enumerate(zip(net.weights, net.biases)):
+            a = a @ w + b if l == len(net.weights) - 1 else _ref_act(name, a @ w + b)
+        assert dn.forward_denoise(net, x, 0.3).tobytes() == a.tobytes()
+        assert x.tobytes() == kept.tobytes()
+
     def test_shape_mismatch(self):
         net = dn.init_net(3, hidden=(8,), seed=0)
         with pytest.raises(DimensionError):
             dn.forward_denoise(net, np.zeros(4), 0.1)
 
-    def test_silu_bytes_match_formula(self):
-        # the in-place activation is the textbook formula, bit for bit
+    @pytest.mark.parametrize("name", dn.ACTIVATIONS)
+    def test_activation_and_derivative_bytes_match_formula(self, name):
+        # the in-place activation, for inference and for training, and the
+        # derivative from what training saved are the textbook formulas
         z = np.random.default_rng(3).standard_normal((64, 48)) * 20.0
         z[0, :6] = [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]
         with np.errstate(over="ignore"):
-            expected = z * (1.0 / (1.0 + np.exp(-z)))
-            assert dn._act("silu", z).tobytes() == expected.tobytes()
+            act, grad = _ref_act(name, z), _ref_act_grad(name, z)
+            inferred, nothing = dn._act(name, z.copy())
+            trained, saved = dn._act(name, z.copy(), keep=True)
+            assert inferred.tobytes() == act.tobytes() and nothing is None
+            assert trained.tobytes() == act.tobytes()
+            assert dn._act_grad(name, trained, saved).tobytes() == grad.tobytes()
+
+
+def _textbook_time_features(t):
+    j = np.arange(dn.TIME_FREQS, dtype=np.float64)
+    return np.concatenate([np.sin(2.0 * np.pi * (2.0 ** j) * t), np.cos(2.0 * np.pi * (2.0 ** j) * t)])
+
+
+class TestTimeFeatures:
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.floats(0.0, 1.0))
+    def test_bytes_match_formula(self, t):
+        assert dn.time_features(t).tobytes() == _textbook_time_features(t).tobytes()
+
+    @pytest.mark.parametrize("mode", ["uniform", "stiffness"])
+    @pytest.mark.parametrize("variant", schedule.VARIANTS)
+    def test_grid_points_match_formula(self, variant, mode):
+        for t in sampler.time_grid(schedule.ScheduleSpec(variant), 100, mode):
+            assert dn.time_features(t).tobytes() == _textbook_time_features(t).tobytes(), t
 
 
 class TestLossAndGrad:
@@ -110,9 +146,7 @@ class TestLossAndGrad:
                 continue
             if activation == "relu":
                 # keep away from activation kinks as well
-                feats = dn.time_features(coeffs.t)
-                _, _, pres = dn._forward_tape(net, dn._input_features(x_t, feats))
-                if min(float(np.min(np.abs(p))) for p in pres[:-1]) < 1e-3:
+                if min(float(np.min(np.abs(z))) for z in _hidden_pre_activations(net, x_t, coeffs.t)) < 1e-3:
                     continue
             checked += 1
             params = net.parameters()
@@ -130,6 +164,16 @@ class TestLossAndGrad:
                     assert abs(g[idx] - fd) <= 1e-4 * max(abs(fd), 1e-2), (activation, idx)
                     it.iternext()
         assert checked == 5
+
+
+def _hidden_pre_activations(net, x, t):
+    """Each hidden layer's z, by the textbook forward pass."""
+    a = dn._input_features(x, dn.time_features(t))
+    pres = []
+    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+        pres.append(a @ w + b)
+        a = _ref_act(net.activation, pres[-1])
+    return pres
 
 
 _aligned_zeros = dn._aligned_zeros

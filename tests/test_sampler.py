@@ -417,9 +417,9 @@ class TestStepPlan:
     def test_network_time_features_read_only(self):
         net = dn.init_net(3, hidden=(4,), seed=0)
         x = np.random.default_rng(0).standard_normal((2, 3))
-        # the uncached forward pass, for reference
+        # the training forward pass, uncached and with its tape, for reference
         feats = dn.time_features(0.25)
-        expected, _, _ = dn._forward_tape(net, dn._input_features(x, feats))
+        expected = dn._forward(net, dn._input_features(x, feats), tape=[])
         for _ in range(2):
             assert dn.forward_denoise(net, x, np.float64(0.25)).tobytes() == expected.tobytes()
         cached = dn._grid_time_features(0.25)
