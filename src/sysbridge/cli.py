@@ -136,12 +136,11 @@ def _scores(cfg, samples, truth):
 
 def cmd_train(args) -> int:
     cfg = _read_config(args, "train")
-    out = _start_run(args, cfg, "train start run_id={run_id}")
-
     sys_ = tasks.build_system(cfg.task)
     data = tasks.make_dataset(cfg.task, cfg.task.n_train, cfg.task.data_seed)
     tr = cfg.train
     net = dn.init_net(sys_.d, hidden=tr.hidden, activation=tr.activation, seed=tr.seed)
+    out = _start_run(args, cfg, "train start run_id={run_id}")
     net, losses = dn.train(net, sys_, cfg.schedule, data, tr)
 
     ckpt = out / "checkpoint.ckpt"
@@ -302,6 +301,8 @@ def cmd_misspec(args) -> int:
     if cfg.task.task not in tasks.TASKS:
         raise ConfigError(f"task {cfg.task.task!r} is not one of the image tasks {tasks.TASKS}")
     try:
+        if param:  # an empty sweep must fit its task too
+            tasks.sweep_field(cfg.task.task, param)
         deployments = [tasks.deploy(cfg.task, param, value) for value in values]
     except ValueError as exc:
         raise ConfigError(f"bad {param} sweep: {exc}") from exc

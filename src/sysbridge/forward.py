@@ -14,9 +14,8 @@ consistency between those closed-form marginals and the underlying SDE
     G_t G_t^T = dgamma/dt A+ Sigma A+^T + gnull_sq (I - A+ A),
 
 and is never part of a production path.  Both rates of G_t are positive
-(`ScheduleCoeffs`).  Both take and return arrays.  H_t and Sigma_t are
-materialized only by `oracle.analytic_marginal` and its helpers, for
-test-scale oracles; no core routine inverts Sigma_t.
+(`ScheduleCoeffs`).  Both take and return arrays.  Only `oracle`
+materializes H_t and Sigma_t, at test scale; no core routine inverts Sigma_t.
 
 Both the one-shot draw and each simulator step are one range/null split,
 `linop.with_range_noise`, costing one `apply` and one `apply_pinv`, and

@@ -5,12 +5,15 @@ marginal scores for Gaussian priors, and the forward process's closed-form
 marginal (mean map H_t, covariance Sigma_t).  These are the ground truth the
 forward process, the reverse sampler and the trained network are validated
 against.  Every dense routine refuses d > `errors.MAX_DENSE_DIM` with a
-`CapacityError`.  The oracle denoiser computes its gain at each call and
-keeps nothing between calls.  Its `eigh` and dense products change their
-last bits with the BLAS thread count, so the command line runs the oracle
-path on one thread.  All conditioning goes through the joint Gaussian with
-eigendecomposition-based pseudo-inverses, so zero noise and rank-deficient
-operators are handled without forming explicit precision matrices.
+`CapacityError`.  The forward law is stated once, from two matrices of the
+system, P = I - A+ A and N = A+ Sigma A+^T: H_t = I - (1 - alpha_t) P and
+Sigma_t = gamma_t N + beta_t P.  The oracle denoiser forms P and N once,
+forms its gain on every call and keeps nothing per time.  Its `eigh` and
+dense products change their last bits with the BLAS thread count, so the
+command line runs the oracle path on one thread.  All conditioning goes
+through the joint Gaussian with eigendecomposition-based pseudo-inverses,
+so zero noise and rank-deficient operators are handled without forming
+explicit precision matrices.
 """
 
 from __future__ import annotations
@@ -104,53 +107,45 @@ def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) 
     return GaussianBelief(mean=mean, cov=cov)
 
 
-def mean_apply(sys: LinearSystem, coeffs: ScheduleCoeffs, x) -> np.ndarray:
-    """Action of the forward process's marginal mean map H_t."""
-    rng_part = linop.project_range(sys, x)
-    return rng_part + coeffs.alpha * (np.asarray(x, dtype=np.float64) - rng_part)
-
-
-def mean_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
-    """Dense H_t."""
+def _split(sys: LinearSystem):
+    """Dense (P, N): the null projector P = I - A+ A and the range noise
+    covariance N = A+ Sigma A+^T, from one `apply` and two `apply_pinv`."""
     check_dense_dim(sys.d, _DENSE)
-    return mean_apply(sys, coeffs, np.eye(sys.d)).T
+    eye = np.eye(sys.d)
+    pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(sys.m)))  # (A+ S)^T, m x d
+    return _sym(eye - linop.project_range(sys, eye)), _sym(pinv_noise.T @ pinv_noise)
 
 
-def covariance_matrix(sys: LinearSystem, coeffs: ScheduleCoeffs) -> np.ndarray:
-    """Dense Sigma_t = gamma_t A+ Sigma A+^T + beta_t (I - A+ A)."""
-    check_dense_dim(sys.d, _DENSE)
-    pinv_noise = sys.apply_pinv(sys.noise_scale(np.eye(sys.m))).T  # A+ S, d x m
-    proj = linop.project_range(sys, np.eye(sys.d)).T
-    null_proj = np.eye(sys.d) - proj
-    return _sym(coeffs.gamma * pinv_noise @ pinv_noise.T + coeffs.beta * null_proj)
+def _law(null_proj, noise_cov, coeffs: ScheduleCoeffs):
+    """Dense (H_t, Sigma_t) at coeffs.t from the system's `_split` (P, N)."""
+    h = np.eye(len(null_proj)) - (1.0 - coeffs.alpha) * null_proj
+    return h, coeffs.gamma * noise_cov + coeffs.beta * null_proj
 
 
 def analytic_marginal(sys: LinearSystem, coeffs: ScheduleCoeffs, x0) -> GaussianBelief:
     """Closed-form Gaussian marginal of the corrupted state at coeffs.t."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    return GaussianBelief(mean=mean_apply(sys, coeffs, x0), cov=covariance_matrix(sys, coeffs))
+    h, sigma_t = _law(*_split(sys), coeffs)
+    return GaussianBelief(mean=np.asarray(x0, dtype=np.float64) @ h.T, cov=sigma_t)
 
 
-def _marginal_pieces(prior: GaussianBelief, sys: LinearSystem, coeffs: ScheduleCoeffs):
+def _marginal_pieces(prior: GaussianBelief, split, coeffs: ScheduleCoeffs):
     """Dense (H, marginal mean, marginal covariance) of the corrupted state."""
-    h = mean_matrix(sys, coeffs)
-    sigma_t = covariance_matrix(sys, coeffs)
-    marg_mean = h @ prior.mean
-    marg_cov = _sym(h @ prior.cov @ h.T + sigma_t)
-    return h, marg_mean, marg_cov
+    h, sigma_t = _law(*split, coeffs)
+    return h, h @ prior.mean, _sym(h @ prior.cov @ h.T + sigma_t)
 
 
 def oracle_denoiser(prior: GaussianBelief, sys: LinearSystem, spec: ScheduleSpec):
     """Exact conditional-expectation denoiser E[x0 | x_t] for a Gaussian prior.
 
-    The returned ``denoise(x_t, t)`` computes the gain at time t on every
-    call and keeps nothing between calls.  It is affine in x_t and
-    vectorized over leading axes.
+    The system's two matrices (`_split`) are formed once, here; the
+    returned ``denoise(x_t, t)`` forms the gain at time t on every call,
+    with no operator application, and keeps nothing per time.  It is affine
+    in x_t and vectorized over leading axes.
     """
-    check_dense_dim(sys.d, _DENSE)
+    split = _split(sys)
 
     def denoise(x_t, t):
-        h, marg_mean, marg_cov = _marginal_pieces(prior, sys, evaluate(spec, float(t)))
+        h, marg_mean, marg_cov = _marginal_pieces(prior, split, evaluate(spec, float(t)))
         pinv, _, _ = _psd_pinv(marg_cov)
         gain = prior.cov @ h.T @ pinv
         offset = prior.mean - gain @ marg_mean
@@ -165,7 +160,6 @@ def dense_score(prior: GaussianBelief, sys: LinearSystem, coeffs: ScheduleCoeffs
     When the marginal covariance is singular the score is restricted to its
     range via the pseudo-inverse.
     """
-    check_dense_dim(sys.d, _DENSE)
-    _, marg_mean, marg_cov = _marginal_pieces(prior, sys, coeffs)
+    _, marg_mean, marg_cov = _marginal_pieces(prior, _split(sys), coeffs)
     pinv, _, _ = _psd_pinv(marg_cov)
     return -(np.asarray(x_t, dtype=np.float64) - marg_mean) @ pinv.T

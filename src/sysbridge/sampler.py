@@ -233,26 +233,23 @@ def sample(
     config: SamplerConfig,
     y,
     denoiser: Callable[[np.ndarray, float], np.ndarray],
-    n_chains: int = 1,
     rng=None,
 ) -> SampleTrace:
     """Run the full reverse pass for one measurement (or a batch of them).
 
-    With 1-D y and n_chains > 1, the measurement is shared across chains;
-    a 2-D y runs one chain per row.  The denoiser receives the whole chain
-    batch at once.  ``rng`` (by default seeded with config.seed) draws the
-    chain start's z, then each step's `linop.draw_noise` after its denoiser
-    call.  Checkpoints are retained every config.keep_every steps when that
-    is nonzero, each at the grid time its step ended on.  A step that leaves a non-finite state raises
-    `DivergenceError` with its index and time.
+    A batch of chains is the rows of y: a 1-D y runs one chain, an (n, m) y
+    one chain per row, so ``np.tile(y, (n, 1))`` runs n chains on one
+    measurement.  The denoiser receives the whole chain batch at once.
+    ``rng`` (by default seeded with config.seed) draws the chain start's z,
+    then each step's `linop.draw_noise` after its denoiser call.
+    Checkpoints are retained every config.keep_every steps when that is
+    nonzero, each at the grid time its step ended on.  A step that leaves a
+    non-finite state raises `DivergenceError` with its index and time.
     """
     spec = config.spec
     if rng is None:
         rng = np.random.default_rng(config.seed)
     y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1 and n_chains > 1:
-        y = np.broadcast_to(y, (n_chains, y.shape[0])).copy()
-
     x = initialize(sys, spec, y, rng.standard_normal(y.shape[:-1] + (sys.d,)))
     # the range part of the chain start
     locked_range = sys.apply_pinv(y) if sys.noise_is_zero else None

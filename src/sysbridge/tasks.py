@@ -124,10 +124,11 @@ class TaskSpec:
             raise ValueError("latent_dim must be >= 1")
         if not (0.0 <= self.lambda1_pct <= 100.0 and 0.0 <= self.lambda2_pct <= 100.0):
             raise ValueError("lambda percentages must lie in [0, 100]")
-        if self.lambda1_pct + self.lambda2_pct > 100.0 or sum(
-            _mri_label_counts(self.image_side, self.lambda1_pct, self.lambda2_pct)
-        ) > _n_fourier_labels(self.image_side):
+        n_kept = sum(_mri_label_counts(self.image_side, self.lambda1_pct, self.lambda2_pct))
+        if self.lambda1_pct + self.lambda2_pct > 100.0 or n_kept > _n_fourier_labels(self.image_side):
             raise ValueError("lambda1 + lambda2 select more than 100% of frequencies")
+        if self.task == "mri" and n_kept == 0:
+            raise ValueError(f"lambda1 and lambda2 keep no frequency of a side {self.image_side} image")
         if min(self.sigma1_sq, self.sigma2_sq, self.noise_var) < 0:
             raise ValueError("noise variances sigma1_sq, sigma2_sq and noise_var must be >= 0")
         if self.dense_m < 1:
@@ -363,6 +364,17 @@ SWEEPS = {
 SWEEP_PARAMS = tuple(SWEEPS)
 
 
+def sweep_field(task: str, param: str) -> Optional[str]:
+    """The `TaskSpec` field sweep ``param`` sets on ``task``, None for
+    poisson_i0; ValueError for an unknown parameter or one off its task."""
+    fields = SWEEPS.get(param)
+    if fields is None:
+        raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMS}")
+    if task not in fields:
+        raise ValueError(f"{param} perturbation applies to the {' or '.join(fields)} task only")
+    return fields[task]
+
+
 def deploy(spec: TaskSpec, param: str = "", value: float = 0.0):
     """(system, measure): the system deployed for ``spec`` with the sweep
     parameter ``param`` (none when empty) set to ``value``, and
@@ -375,15 +387,11 @@ def deploy(spec: TaskSpec, param: str = "", value: float = 0.0):
     """
     system_spec = spec
     if param:
-        fields = SWEEPS.get(param)
-        if fields is None:
-            raise ValueError(f"unknown sweep parameter {param!r}, expected one of {SWEEP_PARAMS}")
-        if spec.task not in fields:
-            raise ValueError(f"{param} perturbation applies to the {' or '.join(fields)} task only")
+        name = sweep_field(spec.task, param)
         if not math.isfinite(value):
             raise ValueError(f"{param} must be finite, got {value!r}")
-        if fields[spec.task] is not None:
-            system_spec = dataclasses.replace(spec, **{fields[spec.task]: value})
+        if name is not None:
+            system_spec = dataclasses.replace(spec, **{name: value})
         elif value <= 0:
             raise ValueError("poisson noise requires intensity > 0")
     system = build_system(system_spec)

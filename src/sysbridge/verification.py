@@ -154,7 +154,7 @@ def suite_posterior() -> List[CheckResult]:
         spec = schedule.ScheduleSpec(variant, **kw)
         den = oracle.oracle_denoiser(prior, sys, spec)
         cfg = sampler.SamplerConfig(n_steps=1000, spec=spec, seed=123, time_grid="stiffness")
-        xs = sampler.sample(sys, cfg, y, den, n_chains=20000).final
+        xs = sampler.sample(sys, cfg, np.tile(y, (20000, 1)), den).final
         mean_err = np.linalg.norm(xs.mean(axis=0) - post.mean) / np.linalg.norm(post.mean)
         cov_err = np.linalg.norm(np.cov(xs.T) - post.cov) / np.linalg.norm(post.cov)
         rows.append(CheckResult("posterior", f"{variant};mean", mean_err, 0.02))

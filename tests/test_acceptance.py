@@ -146,7 +146,7 @@ def test_criterion_08_end_to_end_mixture_learning():
     net, _ = dn.train(net, sys, spec, data, tcfg)
 
     cfg = sampler.SamplerConfig(n_steps=1000, spec=spec, seed=9)
-    xs = sampler.sample(sys, cfg, np.array([0.0]), dn.as_denoiser(net), n_chains=10_000).final
+    xs = sampler.sample(sys, cfg, np.zeros((10_000, 1)), dn.as_denoiser(net)).final
     null = xs[:, 1]
     w_pos = float(np.mean(null > 0))
     m_pos = float(null[null > 0].mean())
@@ -177,7 +177,7 @@ def test_criterion_09_noiseless_data_consistency():
         x0 = rng.uniform(size=sys.d)
         y = sys.apply(x0)
         cfg = sampler.SamplerConfig(n_steps=100, spec=schedule.ScheduleSpec("sb"), seed=2)
-        trace = sampler.sample(sys, cfg, y, lambda x, t: x, n_chains=32)
+        trace = sampler.sample(sys, cfg, np.tile(y, (32, 1)), lambda x, t: x)
         resid = sys.apply(trace.final) - y
         worst = max(worst, float(np.max(np.abs(resid))))
     report(

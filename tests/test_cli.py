@@ -205,6 +205,9 @@ OUT_OF_RANGE = {
     "mri_rounded_overselection": (
         "train", MEMORIZE_INI, "task", {"task": "mri", "image_side": 7, "lambda1": 6, "lambda2": 94}
     ),
+    # an mri system needs a row: no percentages, or 16 % + 30 % of one label rounding to 0
+    "mri_keeps_no_frequency": ("train", MEMORIZE_INI, "task", {"task": "mri", "lambda1": 0, "lambda2": 0}),
+    "mri_side_one_keeps_no_frequency": ("train", MEMORIZE_INI, "task", {"task": "mri", "image_side": 1}),
     "train_seed": ("train", MEMORIZE_INI, "train", {"seed": -1}),
     "sample_seed": ("sample", GAUSS_TOY_INI, "sample", {"seed": -1}),
     "n_samples_negative": ("sample", GAUSS_TOY_INI, "sample", {"n_samples": -1}),
@@ -219,13 +222,14 @@ OUT_OF_RANGE = {
 @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_exit_2_with_one_line(tmp_path, capsys, case):
     command, base, section, keys = OUT_OF_RANGE[case]
-    cfg, _ = write_config(tmp_path, _override(base, section, **keys))
+    cfg, out = write_config(tmp_path, _override(base, section, **keys))
     extra = ["--oracle-denoiser", "--simulate"] if command == "sample" else []
     capsys.readouterr()
     code = cli.main([command, "--config", str(cfg), *extra])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -399,6 +403,36 @@ class TestSample:
         samples = tensorio.load_tensor(dest / "samples.sdbt")
         assert samples.shape == (2, 16)
         np.testing.assert_allclose(samples, 0.6, atol=1e-12)  # identity + range lock
+
+    def test_one_dimensional_measurements_are_one_row(self, tmp_path):
+        cfg, _ = write_config(tmp_path, MEMORIZE_INI)
+        ckpt = tmp_path / "net.ckpt"
+        save_for(ckpt, dn.init_net(16, hidden=(8,), seed=0), cfg)
+        blobs = []
+        for shape in ((16,), (1, 16)):
+            ypath = tmp_path / f"y{len(shape)}.sdbt"
+            tensorio.save_tensor(ypath, np.full(shape, 0.6))
+            dest = tmp_path / f"from-{len(shape)}d"
+            assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                             "--measurements", str(ypath), "--output", str(dest)]) == 0
+            samples = tensorio.load_tensor(dest / "samples.sdbt")
+            assert samples.shape == (1, 16)
+            blobs.append(samples.tobytes())
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("keep_every", [10, 20])
+    def test_kept_states_written_as_trace(self, tmp_path, keep_every):
+        cfg, _ = write_config(tmp_path, _override(MEMORIZE_INI, "sample", keep_every=keep_every))
+        ckpt = tmp_path / "net.ckpt"
+        save_for(ckpt, dn.init_net(16, hidden=(8,), seed=0), cfg)
+        dest = tmp_path / "kept"
+        assert cli.main(["sample", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--simulate", "--output", str(dest)]) == 0
+        trace = tensorio.load_tensor(dest / "trace.sdbt")
+        samples = tensorio.load_tensor(dest / "samples.sdbt")
+        assert trace.shape == (50 // keep_every, 3, 16)  # n_steps = 50, n_samples = 3
+        if 50 % keep_every == 0:
+            assert trace[-1].tobytes() == samples.tobytes()
 
     def test_schedule_hash_mismatch_refused(self, trained, tmp_path):
         cfg, out = trained
@@ -637,6 +671,13 @@ USAGE_ERRORS = {
     "values_without_param": (MEMORIZE_INI, ["misspec", "--checkpoint", "CKPT", "--values", "0.1"]),
     "sweep_that_does_not_fit": (MEMORIZE_INI, ["misspec", "--checkpoint", "CKPT",
                                                "--param", "tau", "--values", "0.1"]),
+    # an empty sweep must fit its task as well (inpainting has no lambda1)
+    "empty_sweep_that_does_not_fit": (_override(MEMORIZE_INI, "eval", param="lambda1"),
+                                      ["misspec", "--checkpoint", "CKPT"]),
+    # refused while the system, data and network are built, before the run starts
+    "train_above_dense_limit": (_override(MEMORIZE_INI, "task", task="contrast", signal_dim=300,
+                                          dataset="gaussian"), ["train"]),
+    "train_unallocatable_width": (_override(MEMORIZE_INI, "train", hidden=10 ** 11), ["train"]),
 }
 
 

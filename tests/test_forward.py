@@ -105,7 +105,7 @@ class TestFusedUpdate:
             noise = linop.draw_noise(sys, np.random.default_rng(5), x0.shape)
             out = forward.forward_sample(sys, coeffs, x0, noise)
             expected = (
-                oracle.mean_apply(sys, coeffs, x0)
+                oracle.analytic_marginal(sys, coeffs, x0).mean
                 + np.sqrt(coeffs.gamma) * sys.apply_pinv(sys.noise_scale(noise.eps))
                 + np.sqrt(coeffs.beta) * linop.project_null(sys, noise.z)
             )
@@ -199,13 +199,13 @@ class TestDriftDiffusion:
         t0, t1 = 0.1, 0.9
         n = 20_000
         dt = (t1 - t0) / n
-        h = oracle.mean_matrix(sys, schedule.evaluate(spec, t0))
+        h = oracle.analytic_marginal(sys, schedule.evaluate(spec, t0), np.eye(4)).mean.T
         for k in range(n):
             coeffs = schedule.evaluate(spec, t0 + k * dt)
             h = h + dt * coeffs.dlog_alpha_dt * (
                 h - linop.project_range(sys, h.T).T
             )
-        target = oracle.mean_matrix(sys, schedule.evaluate(spec, t1))
+        target = oracle.analytic_marginal(sys, schedule.evaluate(spec, t1), np.eye(4)).mean.T
         assert np.max(np.abs(h - target)) < 1e-4
 
     def test_commutation_of_drift_operators(self):

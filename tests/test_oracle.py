@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sysbridge import forward, linop, oracle, schedule
+from sysbridge import forward, linop, oracle, schedule, tasks
 from sysbridge.errors import DegeneratePosteriorError
 
 
@@ -179,14 +179,53 @@ class TestOracleDenoiser:
         # one 64 x 64 gain per time would hold 6.5 MB
         assert held < 1_000_000, held
 
+    def test_operator_calls_at_construction_only(self, counting):
+        # P and N cost one A and two A+ applications, once per oracle
+        sys, calls = counting(linop.build_dense_system(
+            np.random.default_rng(14).standard_normal((2, 4)), sigma_half=0.3
+        ))
+        spec = schedule.ScheduleSpec("sb")
+        den = oracle.oracle_denoiser(toy_prior(4, seed=15), sys, spec)
+        assert calls == {"apply": 1, "apply_pinv": 2}
+        for t in (spec.t_max, 0.5, spec.t_min):
+            den(np.ones((3, 4)), t)
+        assert calls == {"apply": 1, "apply_pinv": 2}
+
+
+def _rank_two(seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 2)) @ rng.standard_normal((2, 5))
+
+
+class TestForwardLaw:
+    @pytest.mark.parametrize("sys", [
+        linop.build_dense_system(_rank_two(16)),
+        linop.build_dense_system(_rank_two(17), sigma_half=0.4),
+        linop.build_dense_system(_rank_two(18), sigma_half=np.random.default_rng(19).standard_normal((3, 3))),
+        tasks.build_system(tasks.TaskSpec("superres", image_side=4, factor=2)),
+    ], ids=["noiseless", "scalar_noise", "matrix_noise", "superres"])
+    def test_analytic_marginal_matches_dense_transcription(self, sys):
+        # H_t = A+ A + alpha (I - A+ A), Sigma_t = gamma A+ S S^T A+^T + beta (I - A+ A)
+        a, a_pinv, s_half = linop.materialize(sys), linop.materialize_pinv(sys), linop.materialize_noise_half(sys)
+        range_proj = a_pinv @ a
+        null_proj = np.eye(sys.d) - range_proj
+        x0 = np.random.default_rng(20).standard_normal((2, sys.d))
+        for variant in schedule.VARIANTS:
+            c = schedule.evaluate(schedule.ScheduleSpec(variant), 0.35)
+            law = oracle.analytic_marginal(sys, c, x0)
+            h = range_proj + c.alpha * null_proj
+            sigma_t = c.gamma * a_pinv @ s_half @ s_half.T @ a_pinv.T + c.beta * null_proj
+            np.testing.assert_allclose(law.mean, x0 @ h.T, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(law.cov, sigma_t, rtol=0, atol=1e-12)
+
 
 class TestDenseScore:
     def test_zero_at_marginal_mean(self):
         sys = linop.build_dense_system(np.array([[1.0, 0.0]]), sigma_half=0.3)
         prior = toy_prior(2, seed=11)
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.5)
-        h = oracle.mean_matrix(sys, coeffs)
-        score = oracle.dense_score(prior, sys, coeffs, h @ prior.mean)
+        marg_mean = oracle.analytic_marginal(sys, coeffs, prior.mean).mean
+        score = oracle.dense_score(prior, sys, coeffs, marg_mean)
         np.testing.assert_allclose(score, np.zeros(2), atol=1e-10)
 
     def test_isotropic_marginal(self):
@@ -206,8 +245,9 @@ class TestDenseScore:
         sys = linop.build_dense_system(np.eye(1), sigma_half=0.8)
         prior = oracle.GaussianBelief(np.array([0.4]), np.array([[0.9]]))
         coeffs = schedule.evaluate(schedule.ScheduleSpec("vp"), 0.3)
-        h = float(oracle.mean_matrix(sys, coeffs)[0, 0])
-        var = h ** 2 * 0.9 + float(oracle.covariance_matrix(sys, coeffs)[0, 0])
+        law = oracle.analytic_marginal(sys, coeffs, np.ones(1))  # mean H_t, cov Sigma_t
+        h = float(law.mean[0])
+        var = h ** 2 * 0.9 + float(law.cov[0, 0])
         mean = h * 0.4
         xs = np.linspace(mean - 10 * np.sqrt(var), mean + 10 * np.sqrt(var), 20_001)
         scores = np.array([oracle.dense_score(prior, sys, coeffs, np.array([x]))[0] for x in xs])

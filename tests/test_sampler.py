@@ -487,7 +487,7 @@ class TestSample:
         x_true = rng.standard_normal(5)
         y = sys.apply(x_true)
         cfg = sampler.SamplerConfig(n_steps=100, spec=spec, seed=3)
-        trace = sampler.sample(sys, cfg, y, lambda x, t: x, n_chains=16)
+        trace = sampler.sample(sys, cfg, np.tile(y, (16, 1)), lambda x, t: x)
         resid = sys.apply(trace.final) - y
         assert np.max(np.abs(resid)) < 1e-9
 
@@ -544,7 +544,7 @@ class TestSample:
         spec = schedule.ScheduleSpec("vp", eps2=1e-6)
         den = oracle.oracle_denoiser(prior, sys, spec)
         cfg = sampler.SamplerConfig(n_steps=400, spec=spec, seed=11, time_grid="stiffness")
-        xs = sampler.sample(sys, cfg, y, den, n_chains=4000).final
+        xs = sampler.sample(sys, cfg, np.tile(y, (4000, 1)), den).final
         mean_err = np.linalg.norm(xs.mean(axis=0) - post.mean) / np.linalg.norm(post.mean)
         cov_err = np.linalg.norm(np.cov(xs.T) - post.cov) / np.linalg.norm(post.cov)
         assert mean_err < 0.05 and cov_err < 0.12
@@ -557,7 +557,7 @@ class TestSample:
         moments = []
         for n_steps in (500, 1000):
             cfg = sampler.SamplerConfig(n_steps=n_steps, spec=spec, seed=17, time_grid="stiffness")
-            xs = sampler.sample(sys, cfg, y, den, n_chains=4000).final
+            xs = sampler.sample(sys, cfg, np.tile(y, (4000, 1)), den).final
             moments.append((xs.mean(axis=0), np.cov(xs.T)))
         dm = np.linalg.norm(moments[0][0] - moments[1][0])
         scale = np.sqrt(np.trace(moments[1][1]) / 4000)

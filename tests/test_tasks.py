@@ -132,7 +132,8 @@ class TestFourierMask:
                 assert sum(tasks._mri_label_counts(side, lambda1, 100 - lambda1)) <= (
                     tasks._n_fourier_labels(side)
                 )
-        assert refused == [(3, 30), (3, 70)] + [(7, lambda1) for lambda1 in range(6, 95, 8)]
+        # side 1 has one label, and 50 % + 50 % of it round to 0 + 0: it keeps none
+        assert refused == [(1, 50), (3, 30), (3, 70)] + [(7, lambda1) for lambda1 in range(6, 95, 8)]
 
     def test_lower_lambda1_keeps_fewer_low_rows(self):
         # side 16 has enough frequency labels that the percentages do not
@@ -303,6 +304,18 @@ class TestToyDatasets:
         assert np.mean(z > 1.0) == pytest.approx(0.5, abs=0.01)
         assert np.mean(np.abs(z) < 0.5) < 0.01
 
+    @pytest.mark.parametrize("mix_coord, axis", [(1, 1), (-1, 3), (-3, 3)])
+    def test_mixture_dataset_is_the_toy_mixture_on_its_axis(self, mix_coord, axis):
+        # means +-mix_sep on mix_coord; any negative mix_coord picks the last coordinate
+        spec = tasks.TaskSpec("dense", signal_dim=4, dataset="mixture", mix_sep=1.5, mix_std=0.5,
+                              mix_coord=mix_coord)
+        mean = np.zeros(4)
+        mean[axis] = 1.5
+        expected = tasks.make_toy_dataset(
+            "gaussian_mixture", 20, seed=7, weights=[0.5, 0.5], means=[mean, -mean], covs=[0.25, 0.25]
+        )
+        assert tasks.make_dataset(spec, 20, 7).tobytes() == expected.tobytes()
+
     def test_empty(self):
         assert tasks.make_toy_dataset("gaussian", 0, mean=np.zeros(2), cov=1.0).shape == (0, 2)
 
@@ -319,6 +332,15 @@ class TestToyDatasets:
         np.testing.assert_array_equal(a, b)
         assert a.shape == (8, 64)
         assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+def test_mri_keeping_no_frequency_is_refused_but_side_one_images_are_not():
+    for lambdas in ({"lambda1_pct": 0.0, "lambda2_pct": 0.0}, {"image_side": 1}):
+        with pytest.raises(ValueError, match="keep no frequency"):
+            tasks.TaskSpec("mri", **lambdas)
+    for task in ("inpainting", "superres", "ct"):
+        assert tasks.build_system(tasks.TaskSpec(task, image_side=1, factor=1)).d == 1
+    assert tasks.build_system(tasks.TaskSpec("mri", image_side=1, lambda1_pct=100.0, lambda2_pct=0.0)).m == 1
 
 
 def test_system_determinism_across_kinds():
