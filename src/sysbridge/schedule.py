@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ScheduleDomainError, UnsupportedVariantError, check_finite
 
@@ -64,9 +65,8 @@ class ScheduleSpec:
         return 1.0 - self.eps1
 
 
-@dataclass(frozen=True)
-class ScheduleCoeffs:
-    """Coefficient triple at one time plus the derived SDE scalars.
+class ScheduleCoeffs(NamedTuple):
+    """Coefficient triple at one time plus the derived SDE scalars, as floats.
 
     gnull_sq is the null-space diffusion rate dbeta/dt - 2 beta dlog(alpha)/dt;
     it and the range rate dgamma_dt are positive on the clipped interval for
