@@ -59,16 +59,16 @@ def _sym(mat):
 def _psd_pinv(mat):
     """Pseudo-inverse of a symmetric PSD matrix via eigendecomposition.
 
-    Returns (pinv, range_projector, is_singular).
+    Returns (pinv, evecs, keep): the eigenvectors and the mask of the
+    eigenvalues kept, from which a caller that needs the range projector
+    forms ``(evecs * keep) @ evecs.T``.
     """
     sym = _sym(mat)
     evals, evecs = np.linalg.eigh(sym)
     scale = max(float(np.max(np.abs(evals))), 1.0)
     keep = evals > _PSD_TOL * scale
     inv = np.where(keep, 1.0 / np.where(keep, evals, 1.0), 0.0)
-    pinv = (evecs * inv) @ evecs.T
-    proj = (evecs * keep.astype(float)) @ evecs.T
-    return pinv, proj, bool(np.any(~keep))
+    return (evecs * inv) @ evecs.T, evecs, keep
 
 
 def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) -> GaussianBelief:
@@ -88,10 +88,11 @@ def gaussian_posterior(prior: GaussianBelief, sys: LinearSystem, y: np.ndarray) 
 
     cross = prior.cov @ a.T                      # cov(x, y), d x m
     obs_cov = _sym(a @ prior.cov @ a.T + sigma)  # cov(y), m x m
-    obs_pinv, obs_proj, singular = _psd_pinv(obs_cov)
+    obs_pinv, evecs, keep = _psd_pinv(obs_cov)
 
     resid = y - a @ prior.mean
-    if singular:
+    if not keep.all():
+        obs_proj = (evecs * keep.astype(float)) @ evecs.T
         off_range = resid - obs_proj @ resid
         norm = float(np.linalg.norm(off_range))
         if norm > 1e-8 * max(1.0, float(np.linalg.norm(resid))):

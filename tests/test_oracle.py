@@ -59,6 +59,20 @@ class TestGaussianPosterior:
         with pytest.raises(DegeneratePosteriorError):
             oracle.gaussian_posterior(prior, sys, np.array([1.0, 0.0]))
 
+    def test_compatible_singular_observation(self):
+        # two noiseless reads of x[0]: cov(y) has rank 1, and y = (0.7, 0.7)
+        # lies in its range, so x[0] = 0.7 and x[1] follows its conditional
+        sys = linop.build_dense_system(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        prior = toy_prior(2, seed=2)
+        (m0, m1), c = prior.mean, prior.cov
+        post = oracle.gaussian_posterior(prior, sys, np.array([0.7, 0.7]))
+        np.testing.assert_allclose(post.mean, [0.7, m1 + c[1, 0] / c[0, 0] * (0.7 - m0)], atol=1e-12)
+        np.testing.assert_allclose(
+            post.cov, np.diag([0.0, c[1, 1] - c[1, 0] ** 2 / c[0, 0]]), atol=1e-12
+        )
+        with pytest.raises(DegeneratePosteriorError):
+            oracle.gaussian_posterior(prior, sys, np.array([0.7, 0.2]))
+
     def test_importance_sampling_agreement(self):
         rng = np.random.default_rng(3)
         for trial in range(10):
