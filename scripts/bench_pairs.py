@@ -28,7 +28,9 @@ pairs the change was lower, and a verdict per end-to-end metric of
 - ``within bound``: every other case.
 
 Each side also records the size of its package source, the per-file and
-total line counts of ``wc -l src/sysbridge/*.py``.
+total line counts of ``wc -l src/sysbridge/*.py``.  Both runs of a pair use
+the same seed, so their output digests compare: the record keeps in how many
+pairs the two were equal.
 
 The script prints one summary line per metric: both medians, the pairs the
 change won, the verdict, and the parent's IQR as a percentage of its median,
@@ -36,6 +38,10 @@ next to the metric's bound where it has one, so that an ``unresolved``
 verdict shows at a glance how far the parent's spread exceeds the bound::
 
     setup_s: parent 0.0008 change 0.001 lower in 3/10: unresolved; parent IQR 27 % of median, bound 25 %
+
+and then one line on the digests::
+
+    output digest: equal in 10/10 pairs
 """
 
 from __future__ import annotations
@@ -164,7 +170,8 @@ def compare(parent_runs, change_runs):
 
 def summary_lines(record) -> list:
     """One line per metric of a record: medians, pairs won, verdict, and the
-    parent's IQR as a percentage of its median beside the metric's bound."""
+    parent's IQR as a percentage of its median beside the metric's bound;
+    then the pairs whose two runs had the same output digest."""
     bounds = end_to_end_bounds()
     lines = []
     for name, cmp in record["comparison"].items():
@@ -175,6 +182,7 @@ def summary_lines(record) -> list:
         lines.append(f"{name}: parent {parent['median']:.4g} change {change['median']:.4g} "
                      f"lower in {cmp['change_lower_pairs']}/{cmp['pairs']}: {cmp['verdict']}; "
                      f"{spread}{bound}")
+    lines.append(f"output digest: equal in {record['digest_equal_pairs']}/{record['pairs']} pairs")
     return lines
 
 
@@ -192,6 +200,8 @@ def record_pairs(workload: str, seed: int, parent_rev: str, checkouts: dict) -> 
             print(f"pair {i} seed {seed + i} {side}: time_vs_control {value:.4f}", file=sys.stderr)
 
     parent, change, pairs = compare(runs["parent"], runs["change"])
+    same = sum(p["perfbench"]["digest"] == c["perfbench"]["digest"]
+               for p, c in zip(runs["parent"], runs["change"]))
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
     return {
         "workload": workload,
@@ -203,6 +213,7 @@ def record_pairs(workload: str, seed: int, parent_rev: str, checkouts: dict) -> 
         "change": {"rev": git("rev-parse", "HEAD"), "uncommitted_changes": dirty,
                    "src_lines": lines["change"], "summary": change, "runs": runs["change"]},
         "comparison": pairs,
+        "digest_equal_pairs": same,
     }
 
 

@@ -12,10 +12,10 @@ bench_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(bench_pairs)
 
 
-def run(ratio, loss):
+def run(ratio, loss, digest="d0"):
     metrics = {"time_vs_control": {"value": ratio, "unit": "ratio"},
                "final_loss": {"value": loss, "unit": "L1"}}
-    return {"perfbench": {}, "result": {"metrics": metrics}}
+    return {"perfbench": {"digest": digest}, "result": {"metrics": metrics}}
 
 
 def test_medians_quartiles_and_lower_pairs():
@@ -69,10 +69,11 @@ def test_summary_line_shows_the_parent_spread_beside_the_bound():
     change = [run(r, 1.0) for r in (0.55, 0.53, 0.63, 0.54, 0.56)]
     p, c, cmp = bench_pairs.compare(parent, change)
     lines = bench_pairs.summary_lines({"parent": {"summary": p}, "change": {"summary": c},
-                                       "comparison": cmp})
+                                       "comparison": cmp, "pairs": 5, "digest_equal_pairs": 2})
     assert lines[0] == ("time_vs_control: parent 0.6 change 0.55 lower in 4/5: within bound; "
                         "parent IQR 3 % of median, bound 20 %")
     assert lines[1].endswith("; parent IQR 0 % of median, bound 15 %")
+    assert lines[2] == "output digest: equal in 2/5 pairs"
 
 
 def test_metric_without_a_bound_has_no_verdict():
@@ -124,6 +125,28 @@ def test_record_keeps_both_sides_source_lines(tmp_path, monkeypatch):
     assert record["change"]["src_lines"] == {"files": {"m.py": 1}, "total": 1}
     assert calls[:4] == [("parent", 40), ("change", 40), ("change", 41), ("parent", 41)]
     assert record["comparison"]["time_vs_control"]["change_lower_pairs"] == bench_pairs.PAIRS
+    assert record["digest_equal_pairs"] == bench_pairs.PAIRS
+
+
+def test_record_counts_pairs_with_equal_output_digests(tmp_path, monkeypatch):
+    # the change's outputs differ from the parent's on seeds 42 and 45 only
+    for side in ("parent", "change"):
+        (tmp_path / side / "src" / "sysbridge").mkdir(parents=True)
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        (SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+
+    def fake_run(checkout, workload, seed):
+        moved = checkout.name == "change" and seed in (42, 45)
+        return run(0.5, 1.0, digest=f"{seed}{'+' if moved else ''}")
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path / "change")
+    monkeypatch.setattr(bench_pairs, "run_perfbench", fake_run)
+    monkeypatch.setattr(bench_pairs, "git", lambda *args, **kw: "")
+    record = bench_pairs.record_pairs(
+        "train-mixture", 40, "p0", {side: tmp_path / side for side in ("parent", "change")})
+    assert record["digest_equal_pairs"] == bench_pairs.PAIRS - 2
+    assert bench_pairs.summary_lines(record)[-1] == (
+        f"output digest: equal in {bench_pairs.PAIRS - 2}/{bench_pairs.PAIRS} pairs")
 
 
 def _files(root):
