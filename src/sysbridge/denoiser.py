@@ -21,11 +21,15 @@ and first and second moments, with the gradient vector and one scratch
 vector as work space.
 
 Byte identity: every elementwise op keeps the operands and the evaluation
-order of the textbook formulas (``z = a @ w + b``, ``(1 - b1) g``,
-``lr (m / c1) / (sqrt(v / c2) + eps)``, ...), only written into existing
-buffers, and elementwise results do not depend on how arrays are grouped.
-So the losses, trained parameters and checkpoints are the same bytes as
-with one temporary per op and one Adam update per array.  The backward pass
+order of the formulas it implements (``z = a @ w + b``, ``(1 - b1) g``,
+Adam's folded step ``m (lr r / c1) / (sqrt(v) + 1e-8 r)`` with r =
+sqrt(c2), ...), only written into existing buffers, and elementwise
+results do not depend on how arrays are grouped.  So the losses, trained
+parameters and checkpoints are the same bytes as with one temporary per op
+and one Adam update per array.  The folded step is the textbook
+``lr (m / c1) / (sqrt(v / c2) + 1e-8)`` with its floats reordered: each
+step agrees with it within 8 ulps relative, and byte for byte once c1 and
+c2 both round to 1.0.  The backward pass
 reads what the training forward kept, and calls no exp or tanh: relu's and
 tanh's activation a (``a > 0``, which is ``z > 0``; ``1 - a a``), and SiLU's
 z and sigmoid s (``s (1 + z (1 - s))``).  Inference keeps no tape.
@@ -35,6 +39,7 @@ Checkpoints keep one tensor record per parameter array.
 from __future__ import annotations
 
 import hashlib
+import math
 import typing
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -335,14 +340,18 @@ def adam_init(p: np.ndarray) -> AdamState:
 def adam_step(p, g, state: AdamState, lr, beta1, beta2):
     """One Adam update of the array p, in place.
 
-    The ops are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``p -= lr (m / c1) / (sqrt(v / c2) + 1e-8)``, in that order, written
-    into m, v, the state's scratch and g: on return g holds the step that
-    was subtracted from p.
+    The moments are ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g g``.
+    The step is Kingma & Ba's efficient form (2015, sec. 2) with r = sqrt(c2)
+    and the epsilon scaled to match, ``lr r / c1 m / (sqrt(v) + 1e-8 r)``:
+    the same function as the textbook ``lr (m / c1) / (sqrt(v / c2) + 1e-8)``
+    with no elementwise divide by c1 or c2, and within 8 ulps of it, relative,
+    per element.  Once c1 and c2 both round to 1.0 the two are the same
+    bytes.  The ops are written into m, v, the state's scratch and g: on
+    return g holds the step that was subtracted from p.
     """
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
-    c2 = 1.0 - beta2 ** state.step
+    r = math.sqrt(1.0 - beta2 ** state.step)
     m, v, s = state.m, state.v, state.scratch
     np.multiply(g, 1.0 - beta1, out=s)
     m *= beta1
@@ -351,11 +360,9 @@ def adam_step(p, g, state: AdamState, lr, beta1, beta2):
     s *= g
     v *= beta2
     v += s
-    np.divide(m, c1, out=g)
-    g *= lr
-    np.divide(v, c2, out=s)
-    np.sqrt(s, out=s)
-    s += 1e-8
+    np.sqrt(v, out=s)
+    s += 1e-8 * r
+    np.multiply(m, lr * r / c1, out=g)
     g /= s
     p -= g
 

@@ -1,5 +1,7 @@
 """Network forwards, hand-rolled gradients, Adam, training loop."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -279,7 +281,18 @@ class TestFlatLayout:
 
 # -- the list form of the training step, kept as the reference that the flat
 # layout must reproduce bit for bit: one temporary per op, one gradient array
-# and one Adam update per parameter array
+# and one Adam update per parameter array.  Adam's step is `_folded_step`,
+# the form `adam_step` computes; `_textbook_step` is Kingma & Ba's
+# Algorithm 1, which the folded form must track to a few ulps.
+
+def _textbook_step(m, v, k, lr, beta1, beta2):
+    return lr * (m / (1.0 - beta1 ** k)) / (np.sqrt(v / (1.0 - beta2 ** k)) + 1e-8)
+
+
+def _folded_step(m, v, k, lr, beta1, beta2):
+    r = math.sqrt(1.0 - beta2 ** k)
+    return m * (lr * r / (1.0 - beta1 ** k)) / (np.sqrt(v) + 1e-8 * r)
+
 
 def _ref_act(name, z):
     if name == "relu":
@@ -323,7 +336,7 @@ def _ref_l1_loss_and_grad(net, weights, biases, x, t, target):
     return loss, [g for pair in zip(grads_w, grads_b) for g in pair]
 
 
-def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
+def _ref_train(net, sys, spec, data, tcfg, adam_update):
     params = [p.copy() for p in net.parameters()]
     weights, biases = params[0::2], params[1::2]
     m = [np.zeros_like(p) for p in params]
@@ -342,14 +355,12 @@ def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
             x_t = forward.forward_sample(sys, coeffs, batch, linop.draw_noise(sys, rng, batch.shape))
             loss, grads = _ref_l1_loss_and_grad(net, weights, biases, x_t, coeffs.t, batch)
             step += 1
-            c1 = 1.0 - beta1 ** step
-            c2 = 1.0 - beta2 ** step
             for p, g, mi, vi in zip(params, grads, m, v):
                 mi *= beta1
                 mi += (1.0 - beta1) * g
                 vi *= beta2
                 vi += (1.0 - beta2) * g * g
-                p -= lr * (mi / c1) / (np.sqrt(vi / c2) + eps)
+                p -= adam_update(mi, vi, step, lr, beta1, beta2)
             total += loss
             n += 1
         losses.append(total / n)
@@ -357,9 +368,8 @@ def _ref_train(net, sys, spec, data, tcfg, eps=1e-8):
 
 
 class TestTrainBytes:
-    @pytest.mark.parametrize("activation", ["relu", "tanh", "silu"])
-    @pytest.mark.parametrize("hidden", [(16, 12), ()])
-    def test_flat_training_matches_list_reference(self, activation, hidden):
+    def train_both(self, activation, hidden, adam_update):
+        """(train's losses and net, the list reference's losses and parameters)."""
         sys = linop.build_dense_system(np.array([[1.0, 0.0, 0.5]]), sigma_half=0.2)
         spec = schedule.ScheduleSpec("sb", b0=0.25, b1=0.25)
         # 37 rows: the last batch of each epoch is short
@@ -367,12 +377,26 @@ class TestTrainBytes:
         tcfg = dn.TrainConfig(lr=3e-3, batch_size=8, n_epochs=6, seed=6, lr_milestones=(2, 4))
         net = dn.init_net(3, hidden=hidden, activation=activation, seed=7)
         before = net.flat.copy()
-        ref_losses, ref_params = _ref_train(net, sys, spec, data, tcfg)
+        ref = _ref_train(net, sys, spec, data, tcfg, adam_update)
         _, losses = dn.train(net, sys, spec, data, tcfg)
+        assert not np.array_equal(net.flat, before)
+        return (losses, net), ref
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "silu"])
+    @pytest.mark.parametrize("hidden", [(16, 12), ()])
+    def test_flat_training_matches_list_reference(self, activation, hidden):
+        (losses, net), (ref_losses, ref_params) = self.train_both(activation, hidden, _folded_step)
         assert np.asarray(losses).tobytes() == np.asarray(ref_losses).tobytes()
         for p, ref in zip(net.parameters(), ref_params):
             assert p.tobytes() == ref.tobytes()
-        assert not np.array_equal(net.flat, before)
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh", "silu"])
+    @pytest.mark.parametrize("hidden", [(16, 12), ()])
+    def test_training_tracks_textbook_adam(self, activation, hidden):
+        (losses, net), (ref_losses, ref_params) = self.train_both(activation, hidden, _textbook_step)
+        np.testing.assert_allclose(losses, ref_losses, rtol=1e-12, atol=0)
+        for p, ref in zip(net.parameters(), ref_params):
+            np.testing.assert_allclose(p, ref, rtol=1e-12, atol=0)
 
 
 class TestAdam:
@@ -390,8 +414,8 @@ class TestAdam:
         dn.adam_step(p, np.array([1.0, -1.0, 5.0, -0.1]), state, 0.01, 0.9, 0.99)
         assert np.max(np.abs(p)) <= 0.01 * 1.001
 
-    def test_textbook_update_bytes(self):
-        # two steps against the textbook formulas with one temporary per op
+    def test_folded_update_bytes(self):
+        # two steps against the folded formulas with one temporary per op
         rng = np.random.default_rng(12)
         p = rng.standard_normal(6)
         ref_p, ref_m, ref_v = p.copy(), np.zeros(6), np.zeros(6)
@@ -400,10 +424,33 @@ class TestAdam:
             g = rng.standard_normal(6)
             ref_m = 0.9 * ref_m + (1 - 0.9) * g
             ref_v = 0.99 * ref_v + ((1 - 0.99) * g) * g
-            ref_p = ref_p - 0.01 * (ref_m / (1 - 0.9 ** k)) / (np.sqrt(ref_v / (1 - 0.99 ** k)) + 1e-8)
+            ref_p = ref_p - _folded_step(ref_m, ref_v, k, 0.01, 0.9, 0.99)
             dn.adam_step(p, g, state, 0.01, 0.9, 0.99)
         assert p.tobytes() == ref_p.tobytes()
         assert state.m.tobytes() == ref_m.tobytes() and state.v.tobytes() == ref_v.tobytes()
+
+    # 1 - 0.9^k rounds to 1.0 from step 356 on, 1 - 0.99^k from step 3,725 on
+    @pytest.mark.parametrize("k", [1, 2, 100, 361, 3724, 3800, 100_000])
+    def test_update_tracks_textbook(self, k):
+        # one step from moments at gradient scales 1e-12 .. 1e3, eight
+        # elements each, and eight zero elements
+        rng = np.random.default_rng(k)
+        scale = np.repeat(10.0 ** np.arange(-12, 4), 8)
+        n = scale.size + 8
+        p, g = np.zeros(n), np.zeros(n)
+        state = dn.adam_init(p)
+        state.step = k - 1
+        g[:-8] = scale * rng.standard_normal(scale.size)
+        state.m[:-8] = scale * rng.standard_normal(scale.size)
+        state.v[:-8] = scale * scale * rng.uniform(0.01, 4.0, scale.size)
+        m, v = 0.9 * state.m + (1 - 0.9) * g, 0.99 * state.v + ((1 - 0.99) * g) * g
+        ref = _textbook_step(m, v, k, 0.01, 0.9, 0.99)
+        dn.adam_step(p, g, state, 0.01, 0.9, 0.99)
+        assert np.all(np.abs(g - ref) <= 8 * np.finfo(float).eps * np.abs(ref))
+        assert not ref[-8:].any() and not g[-8:].any()
+        assert (1.0 - 0.9 ** k == 1.0 and 1.0 - 0.99 ** k == 1.0) == (k >= 3725)
+        if k >= 3725:
+            assert g.tobytes() == ref.tobytes()
 
 
 class TestTrain:
