@@ -28,8 +28,8 @@ results do not depend on how arrays are grouped.  So the losses, trained
 parameters and checkpoints are the same bytes as with one temporary per op
 and one Adam update per array.  The folded step is the textbook
 ``lr (m / c1) / (sqrt(v / c2) + 1e-8)`` with its floats reordered: each
-step agrees with it within 8 ulps relative, and byte for byte once c1 and
-c2 both round to 1.0.  The backward pass
+element of a step lies within 8 eps (2^-52) relative of it, and the two are
+the same bytes once c1 and c2 both round to 1.0.  The backward pass
 reads what the training forward kept, and calls no exp or tanh: relu's and
 tanh's activation a (``a > 0``, which is ``z > 0``; ``1 - a a``), and SiLU's
 z and sigmoid s (``s (1 + z (1 - s))``).  Inference keeps no tape.
@@ -342,12 +342,13 @@ def adam_step(p, g, state: AdamState, lr, beta1, beta2):
 
     The moments are ``m = b1 m + (1 - b1) g`` and ``v = b2 v + (1 - b2) g g``.
     The step is Kingma & Ba's efficient form (2015, sec. 2) with r = sqrt(c2)
-    and the epsilon scaled to match, ``lr r / c1 m / (sqrt(v) + 1e-8 r)``:
+    and the epsilon scaled to match, ``m (lr r / c1) / (sqrt(v) + 1e-8 r)``:
     the same function as the textbook ``lr (m / c1) / (sqrt(v / c2) + 1e-8)``
-    with no elementwise divide by c1 or c2, and within 8 ulps of it, relative,
-    per element.  Once c1 and c2 both round to 1.0 the two are the same
-    bytes.  The ops are written into m, v, the state's scratch and g: on
-    return g holds the step that was subtracted from p.
+    with no elementwise divide by c1 or c2.  Each element of the step lies
+    within 8 eps (eps = 2^-52) relative of the textbook one, and once c1 and
+    c2 both round to 1.0 the two are the same bytes.  The ops are written
+    into m, v, the state's scratch and g, in that order: on return g holds
+    the step that was subtracted from p.
     """
     state.step += 1
     c1 = 1.0 - beta1 ** state.step
